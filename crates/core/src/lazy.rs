@@ -9,8 +9,7 @@
 //! row is a 64-bit mask, which bounds supported SJ-Trees to 64 leaves — far
 //! above the query sizes the paper evaluates (≤ 15 edges).
 
-use sp_graph::VertexId;
-use std::collections::HashMap;
+use sp_graph::{FastMap, VertexId};
 
 /// Maximum number of SJ-Tree leaves the bitmap supports.
 pub const MAX_LEAVES: usize = 64;
@@ -18,7 +17,7 @@ pub const MAX_LEAVES: usize = 64;
 /// Sparse per-vertex bitmap of enabled leaf searches.
 #[derive(Debug, Clone, Default)]
 pub struct LazyBitmap {
-    rows: HashMap<VertexId, u64>,
+    rows: FastMap<VertexId, u64>,
 }
 
 impl LazyBitmap {
@@ -54,6 +53,13 @@ impl LazyBitmap {
     /// Drops the row of a vertex (called when the vertex leaves the window).
     pub fn forget(&mut self, v: VertexId) {
         self.rows.remove(&v);
+    }
+
+    /// Drops the rows of every vertex `live` rejects and releases the
+    /// table capacity they held, leaving the rows it keeps untouched.
+    pub fn retain_live(&mut self, mut live: impl FnMut(VertexId) -> bool) {
+        self.rows.retain(|&v, _| live(v));
+        self.rows.shrink_to_fit();
     }
 
     /// Number of vertices with at least one enabled bit.
@@ -103,6 +109,25 @@ mod tests {
         b.forget(VertexId(5));
         assert!(!b.is_enabled(VertexId(5), 1));
         assert_eq!(b.num_tracked_vertices(), 0);
+    }
+
+    #[test]
+    fn retain_live_keeps_live_rows_bit_for_bit() {
+        let mut b = LazyBitmap::new();
+        for v in 0..100 {
+            for rank in [1, v as usize % MAX_LEAVES, MAX_LEAVES - 1] {
+                b.enable(VertexId(v), rank);
+            }
+        }
+        let before = b.clone();
+        b.retain_live(|v| v.0 % 3 == 0);
+        assert_eq!(b.num_tracked_vertices(), 34);
+        for v in (0..100).map(VertexId) {
+            for rank in 1..MAX_LEAVES {
+                let expected = v.0 % 3 == 0 && before.is_enabled(v, rank);
+                assert_eq!(b.is_enabled(v, rank), expected, "{v} rank {rank}");
+            }
+        }
     }
 
     #[test]

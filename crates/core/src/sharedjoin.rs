@@ -103,11 +103,11 @@
 
 use crate::engine::{ContinuousQueryEngine, PrefixFeed};
 use crate::registry::{retention_for_windows, QueryId};
-use sp_graph::{DynamicGraph, EdgeData, EdgeId, EdgeType};
+use sp_graph::{DynamicGraph, EdgeData, EdgeId, EdgeType, FastMap};
 use sp_iso::{find_matches_containing_edge_into, SearchScratch, SubgraphMatch};
 use sp_query::{prefix_chain, PrefixSignature, QueryEdgeId, QueryGraph, QueryVertexId};
 use sp_sjtree::{MatchStore, SjTree};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// A shared prefix must contain at least one internal join node, i.e. cover
 /// at least two leaves — depth-1 "prefixes" are exactly the leaf shapes the
@@ -485,12 +485,12 @@ pub enum JoinSubscription {
 #[derive(Debug, Clone)]
 pub struct SharedJoinIndex {
     entries: Vec<Option<PrefixEntry>>,
-    by_sig: HashMap<PrefixSignature, usize>,
+    by_sig: FastMap<PrefixSignature, usize>,
     free: Vec<usize>,
     /// Edge type → entries whose prefix contains it (entry dispatch), each
     /// list kept sorted shallow-first so a trie parent always advances
     /// before any of its children on the same edge.
-    by_type: HashMap<EdgeType, Vec<usize>>,
+    by_type: FastMap<EdgeType, Vec<usize>>,
     /// Query → entry index, for subscribed queries.
     subs: BTreeMap<QueryId, usize>,
     /// Full canonical chains of every join-capable registered query
@@ -526,9 +526,9 @@ impl Default for SharedJoinIndex {
     fn default() -> Self {
         SharedJoinIndex {
             entries: Vec::new(),
-            by_sig: HashMap::new(),
+            by_sig: FastMap::default(),
             free: Vec::new(),
-            by_type: HashMap::new(),
+            by_type: FastMap::default(),
             subs: BTreeMap::new(),
             chains: BTreeMap::new(),
             trie: true,

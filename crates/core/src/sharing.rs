@@ -34,12 +34,12 @@
 
 use crate::engine::{ContinuousQueryEngine, LeafFanout, PreparedLeaf};
 use crate::registry::QueryId;
-use sp_graph::{DynamicGraph, EdgeData, EdgeType};
+use sp_graph::{DynamicGraph, EdgeData, EdgeType, FastMap};
 use sp_iso::{find_matches_containing_edge_into, SearchScratch, SubgraphMatch};
 use sp_query::{canonicalize_subgraph, CanonicalMapping, LeafSignature, QueryGraph, QuerySubgraph};
 use sp_sjtree::NodeId;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 /// One interned canonical leaf shape: the materialized canonical query (what
@@ -121,7 +121,7 @@ impl SharedLeafStats {
 /// shared stage stops allocating once the buffers have warmed up.
 #[derive(Debug, Clone, Default)]
 pub struct EdgeSearchCache {
-    searches: HashMap<usize, CachedSearch>,
+    searches: FastMap<usize, CachedSearch>,
     /// Recycled match buffers, handed back out to fresh cache entries.
     spare: Vec<Vec<SubgraphMatch>>,
     /// Reusable anchored-search frontier/binding buffers.
@@ -170,7 +170,7 @@ impl EdgeSearchCache {
 /// The registry-wide index of canonical leaf shapes and their subscribers.
 #[derive(Debug, Clone, Default)]
 pub struct SharedLeafIndex {
-    by_sig: HashMap<LeafSignature, usize>,
+    by_sig: FastMap<LeafSignature, usize>,
     entries: Vec<Option<SigEntry>>,
     free: Vec<usize>,
     /// Per-query subscriptions in leaf-rank order. A query absent from this

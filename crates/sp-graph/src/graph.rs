@@ -13,11 +13,13 @@
 //!   matches.
 
 use crate::error::GraphError;
+use crate::hash::FastMap;
 use crate::ids::{Direction, EdgeId, EdgeType, Timestamp, VertexId, VertexType};
 use crate::schema::Schema;
 use crate::window::ExpiryQueue;
 use crate::Result;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Payload of a single directed, typed, timestamped edge.
@@ -107,8 +109,8 @@ pub struct DegreeStats {
 #[derive(Debug, Clone)]
 pub struct DynamicGraph {
     schema: Schema,
-    vertices: HashMap<VertexId, VertexData>,
-    edges: HashMap<EdgeId, EdgeData>,
+    vertices: FastMap<VertexId, VertexData>,
+    edges: FastMap<EdgeId, EdgeData>,
     names: HashMap<String, VertexId>,
     expiry: ExpiryQueue,
     window: Option<u64>,
@@ -124,8 +126,8 @@ impl DynamicGraph {
     pub fn new(schema: Schema) -> Self {
         Self {
             schema,
-            vertices: HashMap::new(),
-            edges: HashMap::new(),
+            vertices: FastMap::default(),
+            edges: FastMap::default(),
             names: HashMap::new(),
             expiry: ExpiryQueue::new(),
             window: None,
@@ -184,24 +186,25 @@ impl DynamicGraph {
     /// the given type when absent. Returns an error when the vertex exists
     /// with a different concrete type.
     pub fn ensure_vertex(&mut self, id: VertexId, vertex_type: VertexType) -> Result<VertexId> {
-        if let Some(data) = self.vertices.get(&id) {
-            if data.vertex_type != vertex_type && !vertex_type.is_any() {
-                return Err(GraphError::VertexTypeConflict {
-                    vertex: id,
-                    existing: data.vertex_type.0,
-                    requested: vertex_type.0,
-                });
+        match self.vertices.entry(id) {
+            Entry::Occupied(slot) => {
+                let existing = slot.get().vertex_type;
+                if existing != vertex_type && !vertex_type.is_any() {
+                    return Err(GraphError::VertexTypeConflict {
+                        vertex: id,
+                        existing: existing.0,
+                        requested: vertex_type.0,
+                    });
+                }
             }
-            return Ok(id);
+            Entry::Vacant(slot) => {
+                slot.insert(VertexData {
+                    vertex_type,
+                    ..VertexData::default()
+                });
+                self.next_vertex_id = self.next_vertex_id.max(id.0 + 1);
+            }
         }
-        self.vertices.insert(
-            id,
-            VertexData {
-                vertex_type,
-                ..VertexData::default()
-            },
-        );
-        self.next_vertex_id = self.next_vertex_id.max(id.0 + 1);
         Ok(id)
     }
 

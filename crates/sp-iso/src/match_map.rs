@@ -532,6 +532,40 @@ impl SubgraphMatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sp_graph::FastState;
+    use std::hash::BuildHasher;
+
+    /// Hashes inline join keys over small vertex ids with the store's hasher
+    /// and checks that both the low bits (the bucket index of a 1024-bucket
+    /// table) and the top 7 bits (the control byte) spread: no bucket holds
+    /// more than twice the mean.
+    #[test]
+    fn inline_join_keys_over_small_ids_spread() {
+        let state = FastState::default();
+        let v = VertexId;
+        let pairs = (0..317u64).flat_map(|a| (0..317).map(move |b| [v(a), v(b), v(0)]));
+        let triples = (0..47u64)
+            .flat_map(|a| (0..47).flat_map(move |b| (0..47).map(move |c| [v(a), v(b), v(c)])));
+        for (len, keys) in [(2u8, pairs.collect::<Vec<_>>()), (3, triples.collect())] {
+            let hashes: Vec<u64> = keys
+                .into_iter()
+                .map(|ids| state.hash_one(JoinKey::Inline(len, ids)))
+                .collect();
+            // (shift, buckets): the low 10 bits, then the top 7 bits.
+            for (shift, buckets) in [(0u32, 1024usize), (57, 128)] {
+                let mut load = vec![0usize; buckets];
+                for &h in &hashes {
+                    load[(h >> shift) as usize & (buckets - 1)] += 1;
+                }
+                let mean = hashes.len() as f64 / buckets as f64;
+                let max = *load.iter().max().unwrap() as f64;
+                assert!(
+                    max <= 2.0 * mean,
+                    "{len}-vertex keys, bits from {shift}: max load {max} vs mean {mean:.1}"
+                );
+            }
+        }
+    }
 
     fn qv(i: usize) -> QueryVertexId {
         QueryVertexId(i)

@@ -10,10 +10,9 @@
 //! processor.
 
 use crate::config::RuntimeConfig;
-use sp_graph::{monotonic_nanos, EdgeEvent, Schema};
+use sp_graph::{monotonic_nanos, EdgeEvent, FastMap, Schema};
 use sp_iso::SubgraphMatch;
 use sp_metrics::{Gauge, Histogram};
-use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use streampattern::{
@@ -131,8 +130,8 @@ pub(crate) fn worker_loop(
         .with_statistics(false)
         .with_purge_interval(config.purge_interval)
         .with_match_interning(config.match_interning);
-    let mut to_global: HashMap<QueryId, QueryId> = HashMap::new();
-    let mut to_local: HashMap<QueryId, QueryId> = HashMap::new();
+    let mut to_global: FastMap<QueryId, QueryId> = FastMap::default();
+    let mut to_local: FastMap<QueryId, QueryId> = FastMap::default();
     let mut retention_override: Option<Option<u64>> = None;
     let mut emitted: u64 = 0;
     // Telemetry handles, attached via `WorkerMsg::Metrics`; `None` keeps the

@@ -442,6 +442,56 @@ mod tests {
     }
 
     #[test]
+    fn serde_json_round_trip_keeps_counts_and_selectivities() {
+        let g = sample_graph();
+        let tcp = g.schema().edge_type("tcp").unwrap();
+        let udp = g.schema().edge_type("udp").unwrap();
+        let mut est = SelectivityEstimator::from_graph(&g).with_mode(StatsMode::Decayed(1000));
+        // hub2 -> hub1 adds cross-type and in/out wedges at both hubs.
+        est.observe_edge(&EdgeData {
+            id: sp_graph::EdgeId(1000),
+            src: sp_graph::VertexId(1),
+            dst: sp_graph::VertexId(0),
+            edge_type: tcp,
+            timestamp: Timestamp(200),
+        });
+        let back: SelectivityEstimator =
+            serde_json::from_str(&serde_json::to_string(&est).unwrap()).unwrap();
+
+        assert_eq!(back.mode(), est.mode());
+        assert_eq!(back.num_edges_observed(), 101);
+        assert_eq!(
+            back.lifetime_edges_observed(),
+            est.lifetime_edges_observed()
+        );
+        let (paths, back_paths) = (est.path_counter(), back.path_counter());
+        assert_eq!(back_paths.total(), paths.total());
+        assert_eq!(back_paths.num_signatures(), paths.num_signatures());
+        assert!(paths.num_signatures() >= 4);
+        let mut primitives = vec![
+            Primitive::SingleEdge(tcp),
+            Primitive::SingleEdge(udp),
+            Primitive::SingleEdge(EdgeType(99)),
+        ];
+        primitives.extend(
+            paths
+                .descending()
+                .into_iter()
+                .map(|(sig, _)| Primitive::TwoEdgePath(sig)),
+        );
+        primitives.push(Primitive::TwoEdgePath(TwoEdgePathCounter::signature(
+            udp,
+            Direction::Incoming,
+            udp,
+            Direction::Incoming,
+        )));
+        for p in &primitives {
+            assert_eq!(back.frequency(p), est.frequency(p), "{p:?}");
+            assert_eq!(back.selectivity(p), est.selectivity(p), "{p:?}");
+        }
+    }
+
+    #[test]
     fn single_edge_selectivity_matches_frequency() {
         let g = sample_graph();
         let est = SelectivityEstimator::from_graph(&g);

@@ -5,13 +5,12 @@
 //! histogram is maintained incrementally as edges stream in.
 
 use serde::{Deserialize, Serialize};
-use sp_graph::EdgeType;
-use std::collections::HashMap;
+use sp_graph::{EdgeType, FastMap};
 
 /// Count of observed edges per edge type.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct EdgeTypeHistogram {
-    counts: HashMap<EdgeType, u64>,
+    counts: FastMap<EdgeType, u64>,
     total: u64,
 }
 

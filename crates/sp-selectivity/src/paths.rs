@@ -9,19 +9,19 @@
 //! dataset analysis use.
 
 use serde::{Deserialize, Serialize};
-use sp_graph::{Direction, DynamicGraph, EdgeData, EdgeType, VertexId};
+use sp_graph::{Direction, DynamicGraph, EdgeData, EdgeType, FastMap, VertexId};
 use sp_query::{DirectedEdgeType, TwoEdgePathSignature};
-use std::collections::HashMap;
 
 /// Counts of 2-edge paths per wedge signature.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TwoEdgePathCounter {
-    counts: HashMap<TwoEdgePathSignature, u64>,
+    counts: FastMap<TwoEdgePathSignature, u64>,
     total: u64,
     /// Per-vertex counter of incident directed edge types, used only by the
-    /// incremental update path (`Cv` in Algorithm 5).
+    /// incremental update path (`Cv` in Algorithm 5). A vertex meets few
+    /// distinct types, so a short vector scanned in place beats a nested map.
     #[serde(skip)]
-    per_vertex: HashMap<VertexId, HashMap<DirectedEdgeType, u64>>,
+    per_vertex: FastMap<VertexId, Vec<(DirectedEdgeType, u64)>>,
 }
 
 impl TwoEdgePathCounter {
@@ -42,20 +42,21 @@ impl TwoEdgePathCounter {
         let mut counter = Self::new();
         for (v, _) in graph.vertices() {
             // Cv: count of each directed edge type incident to v.
-            let mut cv: HashMap<DirectedEdgeType, u64> = HashMap::new();
+            let mut cv: Vec<(DirectedEdgeType, u64)> = Vec::new();
             for inc in graph.incident_edges(v) {
-                *cv.entry(DirectedEdgeType::new(inc.edge_type, inc.direction))
-                    .or_insert(0) += 1;
+                let t = DirectedEdgeType::new(inc.edge_type, inc.direction);
+                match cv.iter_mut().find(|(seen, _)| *seen == t) {
+                    Some((_, n)) => *n += 1,
+                    None => cv.push((t, 1)),
+                }
             }
-            let mut types: Vec<(DirectedEdgeType, u64)> =
-                cv.iter().map(|(&t, &n)| (t, n)).collect();
-            types.sort_by_key(|&(t, _)| (t.edge_type.0, t.direction));
-            for (i, &(t1, n1)) in types.iter().enumerate() {
+            cv.sort_by_key(|&(t, _)| (t.edge_type.0, t.direction));
+            for (i, &(t1, n1)) in cv.iter().enumerate() {
                 // Same-type pairs: C(n1, 2).
                 let same = n1 * n1.saturating_sub(1) / 2;
                 counter.add(TwoEdgePathSignature::new(t1, t1), same);
                 // Cross-type pairs with lexically greater types: n1 * n2.
-                for &(t2, n2) in &types[i + 1..] {
+                for &(t2, n2) in &cv[i + 1..] {
                     counter.add(TwoEdgePathSignature::new(t1, t2), n1 * n2);
                 }
             }
@@ -69,31 +70,32 @@ impl TwoEdgePathCounter {
     /// Incremental update: call *after* the edge has been inserted into the
     /// graph (or independently of any graph). The new edge forms one new
     /// wedge with every edge already incident to each of its endpoints.
+    /// Wedges are added in place while scanning the endpoint's incidence
+    /// counters, so an edge between known vertices allocates nothing.
     pub fn observe_edge(&mut self, edge: &EdgeData) {
-        let endpoints: &[(VertexId, Direction)] = &[
+        for (v, dir) in [
             (edge.src, Direction::Outgoing),
             (edge.dst, Direction::Incoming),
-        ];
-        for &(v, dir) in endpoints {
+        ] {
             let new_type = DirectedEdgeType::new(edge.edge_type, dir);
+            let incident = self.per_vertex.entry(v).or_default();
+            let mut known = false;
             // New wedges centered at v: pair the new edge with every existing
-            // incident edge.
-            let additions: Vec<(TwoEdgePathSignature, u64)> = self
-                .per_vertex
-                .entry(v)
-                .or_default()
-                .iter()
-                .map(|(&t, &n)| (TwoEdgePathSignature::new(new_type, t), n))
-                .collect();
-            for (sig, n) in additions {
-                self.add(sig, n);
+            // incident edge, then count it among them.
+            for (t, n) in incident.iter_mut() {
+                *self
+                    .counts
+                    .entry(TwoEdgePathSignature::new(new_type, *t))
+                    .or_insert(0) += *n;
+                self.total += *n;
+                if *t == new_type {
+                    *n += 1;
+                    known = true;
+                }
             }
-            *self
-                .per_vertex
-                .entry(v)
-                .or_default()
-                .entry(new_type)
-                .or_insert(0) += 1;
+            if !known {
+                incident.push((new_type, 1));
+            }
         }
     }
 
@@ -119,13 +121,13 @@ impl TwoEdgePathCounter {
             *c > 0
         });
         self.total = self.counts.values().sum();
-        for per in self.per_vertex.values_mut() {
-            per.retain(|_, c| {
+        self.per_vertex.retain(|_, incident| {
+            incident.retain_mut(|(_, c)| {
                 *c /= 2;
                 *c > 0
             });
-        }
-        self.per_vertex.retain(|_, per| !per.is_empty());
+            !incident.is_empty()
+        });
     }
 
     /// Count of wedges with the given signature.

@@ -37,10 +37,9 @@
 
 use crate::node::NodeId;
 use crate::tree::SjTree;
-use sp_graph::{DynamicGraph, EdgeId, Timestamp, VertexId};
+use sp_graph::{DynamicGraph, EdgeId, FastMap, Timestamp, VertexId};
 use sp_iso::{JoinKey, SubgraphMatch, JOIN_KEY_INLINE};
 use sp_query::QueryVertexId;
-use std::collections::HashMap;
 
 /// Hash table of materialized matches for one SJ-Tree node, keyed by the
 /// projection of each match onto the parent's cut vertices. Keys are
@@ -51,12 +50,12 @@ use std::collections::HashMap;
 /// binary search instead of a linear scan — on a high-fan-in cut vertex a
 /// single bucket can hold thousands of partial matches, and the old
 /// `bucket.contains(&m)` scan made every insert `O(n)`.
-type MatTable = HashMap<JoinKey, Vec<SubgraphMatch>>;
+type MatTable = FastMap<JoinKey, Vec<SubgraphMatch>>;
 
 /// Hash table of interned matches for one node: buckets hold arena row ids,
 /// sorted by the rows' full-slot lexicographic order (which coincides with
 /// the materialized ordering inside a bucket — see [`RowArena::cmp_rows`]).
-type RowTable = HashMap<JoinKey, Vec<u32>>;
+type RowTable = FastMap<JoinKey, Vec<u32>>;
 
 /// Upper bound on recycled bucket vectors kept in a store's free list. A
 /// purge can empty thousands of buckets at once; retaining a bounded pool
@@ -409,7 +408,7 @@ impl MatchStore {
     pub fn new(tree: &SjTree) -> Self {
         Self {
             backing: Backing::Materialized {
-                tables: vec![MatTable::new(); tree.num_nodes()],
+                tables: vec![MatTable::default(); tree.num_nodes()],
                 spare: Vec::new(),
             },
             inserted: vec![0; tree.num_nodes()],
@@ -423,7 +422,7 @@ impl MatchStore {
         Self {
             backing: Backing::Interned {
                 arena: RowArena::new(q.num_edges(), q.num_vertices()),
-                tables: vec![RowTable::new(); tree.num_nodes()],
+                tables: vec![RowTable::default(); tree.num_nodes()],
                 spare: Vec::new(),
             },
             inserted: vec![0; tree.num_nodes()],

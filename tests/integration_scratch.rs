@@ -10,9 +10,19 @@
 use sp_datasets::NetflowConfig;
 use sp_query::QueryGraph;
 use sp_runtime::{ParallelStreamProcessor, RuntimeConfig};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use streampattern::{
     FnSink, QueryId, Schema, Strategy, StrategySpec, StreamProcessor, SubgraphMatch,
 };
+
+/// The counting allocator's totals are process-wide, so a metered slice
+/// would also count whatever another test of this binary allocates at the
+/// same time. Every test here holds this lock for its whole run.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Worker counts under test: `RUNTIME_WORKERS` (e.g. `2` or `1,2,4`) or the
 /// default sweep, mirroring `integration_parallel.rs`.
@@ -69,6 +79,7 @@ where
 
 #[test]
 fn scratch_reuse_is_semantics_preserving_across_strategies() {
+    let _serial = serial();
     let dataset = NetflowConfig {
         num_hosts: 300,
         num_edges: 2_500,
@@ -149,6 +160,7 @@ fn scratch_reuse_is_semantics_preserving_across_strategies() {
 
 #[test]
 fn scratch_reuse_matches_parallel_runtime_across_worker_counts() {
+    let _serial = serial();
     let dataset = NetflowConfig {
         num_hosts: 300,
         num_edges: 2_500,
@@ -232,8 +244,9 @@ mod alloc_regression {
         schema
     }
 
-    #[test]
-    fn gated_steady_state_is_allocation_free() {
+    /// Runs the gated-lazy stream below and returns the allocations per
+    /// edge of its metered slice, with stream statistics on or off.
+    fn gated_steady_state_allocs_per_edge(statistics: bool) -> f64 {
         let schema = cyber_schema();
         let ip = schema.vertex_type("ip").unwrap();
         let tcp = schema.edge_type("tcp").unwrap();
@@ -255,7 +268,7 @@ mod alloc_regression {
         // (and thus every container's high-water mark) bounded, so warmup
         // actually reaches a steady state instead of growing forever.
         let mut proc = StreamProcessor::new(schema.clone())
-            .with_statistics(false)
+            .with_statistics(statistics)
             .with_purge_interval(512);
         proc.register(q, Strategy::SingleLazy, Some(1_000)).unwrap();
 
@@ -289,11 +302,32 @@ mod alloc_regression {
         let allocs_per_edge = (a1 - a0) as f64 / metered as f64;
         let bytes_per_edge = (b1 - b0) as f64 / metered as f64;
         println!(
-            "gated steady state: {allocs_per_edge:.4} allocs/edge, {bytes_per_edge:.1} bytes/edge"
+            "gated steady state (statistics {statistics}): {allocs_per_edge:.4} allocs/edge, \
+             {bytes_per_edge:.1} bytes/edge"
         );
+        allocs_per_edge
+    }
+
+    #[test]
+    fn gated_steady_state_is_allocation_free() {
+        let _serial = serial();
+        let allocs_per_edge = gated_steady_state_allocs_per_edge(false);
         assert!(
             allocs_per_edge < 0.1,
             "gated steady-state path allocates per edge: {allocs_per_edge:.4} allocs/edge"
+        );
+    }
+
+    /// The same stream with the selectivity statistics maintained per edge:
+    /// the 1-edge histogram and the 2-edge path census update in place, so
+    /// edges between known vertices allocate nothing.
+    #[test]
+    fn gated_steady_state_with_statistics_is_allocation_free() {
+        let _serial = serial();
+        let allocs_per_edge = gated_steady_state_allocs_per_edge(true);
+        assert!(
+            allocs_per_edge < 0.1,
+            "statistics path allocates per edge: {allocs_per_edge:.4} allocs/edge"
         );
     }
 
@@ -305,6 +339,7 @@ mod alloc_regression {
     /// allocations per edge after warmup.
     #[test]
     fn shared_join_match_delivery_is_allocation_light() {
+        let _serial = serial();
         let schema = cyber_schema();
         let ip = schema.vertex_type("ip").unwrap();
         let tcp = schema.edge_type("tcp").unwrap();
@@ -406,6 +441,7 @@ mod alloc_regression {
     /// allocate strictly more.
     #[test]
     fn interned_wide_pattern_storage_is_allocation_free_per_stored_match() {
+        let _serial = serial();
         // Nine *distinct* protocols so each stream edge matches exactly one
         // leaf shape — the stored-match population is then dominated by the
         // deep (spilled) internal partials the test is about, not by
@@ -494,6 +530,7 @@ mod alloc_regression {
 
     #[test]
     fn scratch_reuse_reduces_allocations_on_a_match_heavy_stream() {
+        let _serial = serial();
         let dataset = NetflowConfig {
             num_hosts: 300,
             num_edges: 6_000,
