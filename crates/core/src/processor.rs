@@ -171,17 +171,6 @@ impl StreamProcessor {
         self.registry.shared_leaf_stats()
     }
 
-    /// Enables or disables scratch reuse on the per-edge hot path (on by
-    /// default): with reuse on, the anchored-search buffers, join worklists
-    /// and the shared-stage edge cache keep their warmed-up capacity across
-    /// edges; with it off every buffer is released after each edge. The
-    /// reported match multiset is identical either way — the toggle exists
-    /// for allocation accounting and equivalence testing.
-    pub fn with_scratch_reuse(mut self, enabled: bool) -> Self {
-        self.registry.set_scratch_reuse(enabled);
-        self
-    }
-
     /// Enables or disables shared-**join** evaluation for queries
     /// registered afterwards (on by default): with it on, queries whose
     /// decompositions begin with the same canonical leaf sequence share one
@@ -217,20 +206,6 @@ impl StreamProcessor {
     /// subscriptions, and how much join-stage work sharing eliminated.
     pub fn shared_join_stats(&self) -> crate::SharedJoinStats {
         self.registry.shared_join_stats()
-    }
-
-    /// Switches every partial-match store — each engine's and each shared
-    /// prefix table's — between the **interned** representation (on by
-    /// default: a stored match is a fixed-width arena row addressed by a
-    /// copyable id, so storing/joining spilled-width matches is
-    /// allocation-free) and the materialized representation (buckets hold
-    /// `SubgraphMatch` values). Live state converts in place, so the toggle
-    /// is safe at any point in the stream. The reported match multiset is
-    /// identical either way — the toggle exists for allocation accounting
-    /// and equivalence testing.
-    pub fn with_match_interning(mut self, enabled: bool) -> Self {
-        self.registry.set_match_interning(enabled);
-        self
     }
 
     /// Total partial matches ever stored across every engine and shared

@@ -86,19 +86,6 @@ pub struct QueryRegistry {
     /// Reusable buffer for each engine's complete matches; drained into
     /// `emit` per engine.
     complete: Vec<SubgraphMatch>,
-    /// Whether the per-edge hot path reuses warmed-up scratch capacity
-    /// (default). Disabling releases every engine's scratch and the edge
-    /// cache after each edge — the algorithm is identical, only the
-    /// allocator traffic differs (the equivalence tests run both).
-    scratch_reuse: bool,
-    /// Whether partial-match stores — every engine's and every shared
-    /// prefix table's — intern matches as fixed-width arena rows (default)
-    /// or keep materialized buckets. The registry is authoritative:
-    /// registration applies the flag to the incoming engine, and toggling
-    /// converts all live state in place. Match output is identical either
-    /// way (the equivalence tests run both); only allocator traffic and
-    /// store memory differ.
-    match_interning: bool,
     /// The next subscription boundary: one past the id of the last
     /// processed edge. A query registered now is entitled to matches
     /// anchored at edge ids `>= boundary` (see the shared-join module docs).
@@ -121,8 +108,6 @@ impl Default for QueryRegistry {
             fanout: Vec::new(),
             cache: EdgeSearchCache::new(),
             complete: Vec::new(),
-            scratch_reuse: true,
-            match_interning: true,
             boundary: 0,
             origins: HashMap::new(),
             next_id: 0,
@@ -148,40 +133,6 @@ impl QueryRegistry {
     /// Whether shared-leaf evaluation is active.
     pub fn sharing_enabled(&self) -> bool {
         self.sharing
-    }
-
-    /// Enables or disables scratch reuse on the per-edge hot path (enabled
-    /// by default). With reuse off, every engine's search scratch and the
-    /// registry's edge cache are released after each edge, so each edge
-    /// starts allocation-cold. Match output is identical either way — this
-    /// knob exists for allocation accounting and the equivalence tests.
-    pub fn set_scratch_reuse(&mut self, enabled: bool) {
-        self.scratch_reuse = enabled;
-    }
-
-    /// Whether the per-edge hot path retains warmed-up scratch capacity.
-    pub fn scratch_reuse_enabled(&self) -> bool {
-        self.scratch_reuse
-    }
-
-    /// Switches every partial-match store the registry reaches — each
-    /// engine's and each shared prefix table's — between the interned
-    /// (fixed-width arena row, default) and materialized representations,
-    /// converting live state in place; engines registered later adopt the
-    /// flag at registration. Reported matches are identical either way —
-    /// this knob exists for allocation accounting and the equivalence
-    /// tests.
-    pub fn set_match_interning(&mut self, enabled: bool) {
-        self.match_interning = enabled;
-        for engine in self.engines.values_mut() {
-            engine.set_match_interning(enabled);
-        }
-        self.join.set_match_interning(enabled);
-    }
-
-    /// Whether partial matches are stored as interned arena rows.
-    pub fn match_interning_enabled(&self) -> bool {
-        self.match_interning
     }
 
     /// Total partial matches ever stored across every live engine and
@@ -255,10 +206,7 @@ impl QueryRegistry {
     /// registry does not own); callers with a graph at hand — the
     /// [`StreamProcessor`](crate::StreamProcessor) — use
     /// [`QueryRegistry::register_shared`].
-    pub fn register(&mut self, mut engine: ContinuousQueryEngine) -> QueryId {
-        // The registry's representation choice is authoritative; an engine
-        // built elsewhere converts (usually a no-op — both default on).
-        engine.set_match_interning(self.match_interning);
+    pub fn register(&mut self, engine: ContinuousQueryEngine) -> QueryId {
         let id = QueryId(self.next_id);
         self.next_id += 1;
         for edge_type in query_edge_types(&engine) {
@@ -457,7 +405,6 @@ impl QueryRegistry {
             fanout,
             cache,
             complete,
-            scratch_reuse,
             ..
         } = self;
         let span = metrics.map(|_| Instant::now());
@@ -526,18 +473,6 @@ impl QueryRegistry {
             }
         }
         fanout.clear();
-        if !*scratch_reuse {
-            // Allocation-cold mode: hand every warmed buffer back after the
-            // edge, so the next edge starts from scratch. Output-identical —
-            // used by the equivalence tests and for memory accounting.
-            cache.release();
-            for &id in ids {
-                engines
-                    .get_mut(&id)
-                    .expect("dispatch index only references live queries")
-                    .release_scratch();
-            }
-        }
         reported
     }
 

@@ -499,10 +499,6 @@ pub struct SharedJoinIndex {
     /// Whether nesting prefixes form a trie (default) or stay independent
     /// flat tables under the PR 5 greedy policy.
     trie: bool,
-    /// Whether prefix tables store their partial matches as interned arena
-    /// rows (default) or materialized `SubgraphMatch` buckets; mirrors the
-    /// engines' own setting so the registry toggles both in lockstep.
-    interning: bool,
     searches_run: u64,
     inserts_run: u64,
     searches_saved: u64,
@@ -532,7 +528,6 @@ impl Default for SharedJoinIndex {
             subs: BTreeMap::new(),
             chains: BTreeMap::new(),
             trie: true,
-            interning: true,
             searches_run: 0,
             inserts_run: 0,
             searches_saved: 0,
@@ -565,22 +560,6 @@ impl SharedJoinIndex {
     /// Whether nesting prefixes share storage through the trie.
     pub fn trie_enabled(&self) -> bool {
         self.trie
-    }
-
-    /// Switches every live prefix table (and all future ones) between the
-    /// interned and materialized match representations, converting live
-    /// state in place — stored matches, keys and bucket order survive, so
-    /// the toggle is safe mid-stream.
-    pub fn set_match_interning(&mut self, enabled: bool) {
-        self.interning = enabled;
-        for entry in self.entries.iter_mut().flatten() {
-            entry.store.set_interning(&entry.tree, enabled);
-        }
-    }
-
-    /// Whether prefix tables intern their partial matches.
-    pub fn match_interning(&self) -> bool {
-        self.interning
     }
 
     /// Total partial matches ever stored across every live prefix table
@@ -1206,10 +1185,7 @@ impl SharedJoinIndex {
     }
 
     fn create_entry(&mut self, sig: PrefixSignature, now: u64) -> usize {
-        let mut entry = PrefixEntry::new(sig.clone(), None, now);
-        // Fresh tables adopt the index-wide representation (the store is
-        // still empty, so this is a constant-time rewrap).
-        entry.store.set_interning(&entry.tree, self.interning);
+        let entry = PrefixEntry::new(sig.clone(), None, now);
         let idx = match self.free.pop() {
             Some(slot) => {
                 self.entries[slot] = Some(entry);

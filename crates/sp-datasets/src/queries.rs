@@ -464,8 +464,8 @@ mod tests {
             assert_eq!(q.num_vertices(), 10);
             assert!(q.is_connected());
             // 9 edge bindings + 10 vertex bindings = 19 > the inline
-            // capacity of 8 — a full match must spill to the heap under the
-            // materialized representation.
+            // capacity of 8 — a full match must spill to the heap as a
+            // `SubgraphMatch`.
             assert!(q.num_edges() + q.num_vertices() > 8);
         }
     }

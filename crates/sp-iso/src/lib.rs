@@ -6,8 +6,9 @@
 //! * [`SubgraphMatch`] — the representation of a (partial) match: a set of
 //!   (query edge → data edge) pairs plus the induced (query vertex → data
 //!   vertex) binding and the time interval spanned by the matched edges
-//!   (Definition 3.1.2). Matches can be **joined** (Definition 3.1.3) and
-//!   **projected** onto cut vertices to produce hash-join keys.
+//!   (Definition 3.1.2). Matches can be **projected** onto cut vertices to
+//!   produce hash-join keys; the SJ-Tree store joins them (Definition 3.1.3)
+//!   on its own fixed-width row encoding.
 //! * [`anchored`] — local search: find every match of a small connected query
 //!   subgraph that *contains a given data edge* or *touches a given data
 //!   vertex*. This is the `SUBGRAPH-ISO(Gd, gqsub, es)` routine invoked for

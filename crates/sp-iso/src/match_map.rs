@@ -1,7 +1,7 @@
 //! The match representation shared by the matchers, the SJ-Tree and the
 //! engine.
 
-use sp_graph::{DynamicGraph, EdgeId, Timestamp, VertexId};
+use sp_graph::{EdgeId, Timestamp, VertexId};
 use sp_query::{QueryEdgeId, QueryVertexId};
 
 /// Maximum number of cut vertices a [`JoinKey`] stores without a heap
@@ -21,9 +21,9 @@ pub const MATCH_INLINE_BINDINGS: usize = 8;
 /// is canonical by length (inline iff it fits), so the derived `Eq`/`Ord`
 /// are consistent; unused inline slots are kept zeroed so the derived
 /// comparisons never read garbage. Iteration order is ascending by key,
-/// matching the `BTreeMap` these maps replaced — the SJ-Tree join stage
-/// clones one `SubgraphMatch` per stored partial match, which made the two
-/// `BTreeMap`s the hottest allocation of the hash-join update path.
+/// matching the `BTreeMap` these maps replaced — the searches clone one
+/// `SubgraphMatch` per found match, which made the two `BTreeMap`s the
+/// hottest allocation of the per-edge path.
 macro_rules! small_sorted_map {
     ($name:ident, $k:ty, $v:ty, $zero:expr) => {
         #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -192,11 +192,11 @@ pub enum JoinKey {
 ///
 /// Following Definition 3.1.2 a match is "a set of edge pairs", each pair
 /// mapping a query edge to a data edge. The vertex binding is kept alongside
-/// because every consistency check (injectivity, join compatibility, join-key
-/// projection) is expressed on vertices. Bindings are stored in inline
-/// small-vec maps ([`MATCH_INLINE_BINDINGS`] entries each), so cloning a
-/// match — which the SJ-Tree join stage does once per stored partial match —
-/// does not allocate for any built-in workload query.
+/// because every consistency check (injectivity, join-key projection) is
+/// expressed on vertices. Bindings are stored in inline small-vec maps
+/// ([`MATCH_INLINE_BINDINGS`] entries each), so cloning a match — which the
+/// search and emit paths do once per found match — does not allocate for any
+/// built-in workload query.
 /// The derived ordering (edge binding, then vertex binding, then time span)
 /// has no semantic meaning; it exists so match stores can keep buckets
 /// sorted and deduplicate in `O(log n)` instead of scanning.
@@ -415,63 +415,6 @@ impl SubgraphMatch {
         true
     }
 
-    /// Returns `true` when this match can be joined with `other`:
-    ///
-    /// * query vertices bound by both map to the same data vertex;
-    /// * query edges are disjoint and data edges are disjoint;
-    /// * the combined vertex binding stays injective.
-    pub fn compatible_with(&self, other: &SubgraphMatch) -> bool {
-        // Shared query vertices must agree; disjoint query vertices must not
-        // collide on data vertices (injectivity of the union).
-        for (qv, dv) in self.vertex_map.iter() {
-            match other.vertex_map.get(qv) {
-                Some(odv) => {
-                    if odv != dv {
-                        return false;
-                    }
-                }
-                None => {
-                    if other
-                        .vertex_map
-                        .iter()
-                        .any(|(oqv, odv)| oqv != qv && odv == dv)
-                    {
-                        return false;
-                    }
-                }
-            }
-        }
-        // Query edges must be disjoint (the decomposition partitions edges)
-        // and data edges must not be reused.
-        for (qe, de) in self.edge_map.iter() {
-            if other.edge_map.get(qe).is_some() {
-                return false;
-            }
-            if other.edge_map.values().any(|ode| ode == de) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Joins two compatible matches into a larger one (Definition 3.1.3).
-    /// Returns `None` when the matches are incompatible.
-    pub fn join(&self, other: &SubgraphMatch) -> Option<SubgraphMatch> {
-        if !self.compatible_with(other) {
-            return None;
-        }
-        let mut out = self.clone();
-        for (qe, de) in other.edge_map.iter() {
-            out.edge_map.insert(qe, de);
-        }
-        for (qv, dv) in other.vertex_map.iter() {
-            out.vertex_map.insert(qv, dv);
-        }
-        out.earliest = out.earliest.min(other.earliest);
-        out.latest = out.latest.max(other.latest);
-        Some(out)
-    }
-
     /// Projects the match onto a set of query vertices, returning the bound
     /// data vertices in the order given. Returns `None` when any of the
     /// vertices is unbound. This is the `GET-JOIN-KEY` / projection operator
@@ -494,12 +437,6 @@ impl SubgraphMatch {
         } else {
             self.project_vertices(vertices).map(JoinKey::Spilled)
         }
-    }
-
-    /// Checks that every matched data edge still exists in the graph
-    /// (edges may have been expired by the sliding window).
-    pub fn is_live(&self, graph: &DynamicGraph) -> bool {
-        self.edge_map.values().all(|e| graph.contains_edge(e))
     }
 
     /// Rebases a match found against a *canonical* leaf (query vertices
@@ -615,57 +552,6 @@ mod tests {
         assert!(!m.bind_edge(qe(0), de(2), Timestamp(0)));
         // Same data edge cannot serve two query edges.
         assert!(!m.bind_edge(qe(1), de(1), Timestamp(0)));
-    }
-
-    #[test]
-    fn join_of_compatible_matches_unions_bindings() {
-        let mut a = SubgraphMatch::new();
-        a.bind_vertex(qv(0), dv(10));
-        a.bind_vertex(qv(1), dv(11));
-        a.bind_edge(qe(0), de(1), Timestamp(5));
-
-        let mut b = SubgraphMatch::new();
-        b.bind_vertex(qv(1), dv(11));
-        b.bind_vertex(qv(2), dv(12));
-        b.bind_edge(qe(1), de(2), Timestamp(9));
-
-        let j = a.join(&b).expect("compatible");
-        assert_eq!(j.num_edges(), 2);
-        assert_eq!(j.num_vertices(), 3);
-        assert_eq!(j.earliest(), Timestamp(5));
-        assert_eq!(j.latest(), Timestamp(9));
-    }
-
-    #[test]
-    fn join_rejects_conflicting_shared_vertex() {
-        let mut a = SubgraphMatch::new();
-        a.bind_vertex(qv(1), dv(11));
-        a.bind_edge(qe(0), de(1), Timestamp(0));
-        let mut b = SubgraphMatch::new();
-        b.bind_vertex(qv(1), dv(99));
-        b.bind_edge(qe(1), de(2), Timestamp(0));
-        assert!(a.join(&b).is_none());
-    }
-
-    #[test]
-    fn join_rejects_non_injective_union() {
-        // Different query vertices bound to the same data vertex.
-        let mut a = SubgraphMatch::new();
-        a.bind_vertex(qv(0), dv(10));
-        a.bind_edge(qe(0), de(1), Timestamp(0));
-        let mut b = SubgraphMatch::new();
-        b.bind_vertex(qv(2), dv(10));
-        b.bind_edge(qe(1), de(2), Timestamp(0));
-        assert!(a.join(&b).is_none());
-    }
-
-    #[test]
-    fn join_rejects_data_edge_reuse() {
-        let mut a = SubgraphMatch::new();
-        a.bind_edge(qe(0), de(7), Timestamp(0));
-        let mut b = SubgraphMatch::new();
-        b.bind_edge(qe(1), de(7), Timestamp(0));
-        assert!(a.join(&b).is_none());
     }
 
     #[test]

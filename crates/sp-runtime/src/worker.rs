@@ -24,6 +24,12 @@ use streampattern::{
 /// `(query, match)` pairs produced by one input batch, in report order.
 /// Matches from one worker always arrive in the order that worker produced
 /// them; interleaving across workers is arbitrary.
+///
+/// Payloads are always materialized `SubgraphMatch` values. A worker's match
+/// stores keep partial matches as interned arena rows, and a row becomes a
+/// `SubgraphMatch` only when it completes a query (the copy-on-emit
+/// boundary), so what crosses this channel does not depend on how the
+/// stores lay out their state.
 pub(crate) type MatchBatch = (usize, Vec<(QueryId, SubgraphMatch)>);
 
 /// Messages a worker accepts on its input channel.
@@ -128,8 +134,7 @@ pub(crate) fn worker_loop(
     // stream prefix a sequential processor would have seen.
     let mut proc = StreamProcessor::new(schema)
         .with_statistics(false)
-        .with_purge_interval(config.purge_interval)
-        .with_match_interning(config.match_interning);
+        .with_purge_interval(config.purge_interval);
     let mut to_global: FastMap<QueryId, QueryId> = FastMap::default();
     let mut to_local: FastMap<QueryId, QueryId> = FastMap::default();
     let mut retention_override: Option<Option<u64>> = None;

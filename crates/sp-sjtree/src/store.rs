@@ -12,28 +12,18 @@
 //! level up. A join that reaches the root is a complete match of the query
 //! and is returned to the caller instead of being stored.
 //!
-//! # Two storage backings
+//! # Storage: interned arena rows
 //!
-//! A store runs in one of two representations:
-//!
-//! * **Materialized** — buckets hold [`SubgraphMatch`] values directly. For
-//!   queries whose matches fit the inline binding maps this is already
-//!   allocation-free, and it is the representation callers observe at the
-//!   emit boundary.
-//! * **Interned** — every stored match is a fixed-width row of `u64` slots
-//!   in a store-owned [`RowArena`]: one slot per query edge (slot index =
-//!   `QueryEdgeId.0`), one per query vertex (`ew + QueryVertexId.0`), plus
-//!   two timestamp words. Buckets hold copyable `u32` row ids; joins read
-//!   and write slots at fixed offsets; matches are materialized back into
-//!   [`SubgraphMatch`] form only when a join reaches the root
-//!   (*copy-on-emit*). Matches that spill the inline binding maps (> 8
-//!   bindings) heap-allocate on every clone in the materialized backing —
-//!   the interned backing stores them with **zero** steady-state
-//!   allocations, because expired rows recycle through the arena free list.
-//!
-//! Both backings run the identical Algorithm-2 flow (same keys, same
-//! per-bucket sort order, same window filter), which the multiset
-//! equivalence suites pin down.
+//! Every stored match is a fixed-width row of `u64` slots in a store-owned
+//! [`RowArena`]: one slot per query edge (slot index = `QueryEdgeId.0`),
+//! one per query vertex (`ew + QueryVertexId.0`), plus two timestamp words.
+//! Buckets hold copyable `u32` row ids; key projection, dedup and joins read
+//! and write slots at fixed offsets; a match is materialized back into
+//! [`SubgraphMatch`] form only when a join reaches the root
+//! (*copy-on-emit*). Expired rows recycle through the arena free list, so a
+//! warm store inserts and joins without touching the allocator — also for
+//! matches wider than the inline binding maps (> 8 bindings), which would
+//! heap-allocate on every clone in `SubgraphMatch` form.
 
 use crate::node::NodeId;
 use crate::tree::SjTree;
@@ -41,20 +31,15 @@ use sp_graph::{DynamicGraph, EdgeId, FastMap, Timestamp, VertexId};
 use sp_iso::{JoinKey, SubgraphMatch, JOIN_KEY_INLINE};
 use sp_query::QueryVertexId;
 
-/// Hash table of materialized matches for one SJ-Tree node, keyed by the
+/// Hash table of stored matches for one SJ-Tree node, keyed by the
 /// projection of each match onto the parent's cut vertices. Keys are
 /// interned [`JoinKey`]s — cut sets of up to three vertices (every tree the
 /// built-in decompositions produce) are stored inline, so computing the key
-/// per insert does not heap-allocate. Every bucket is kept **sorted** (by
-/// `SubgraphMatch`'s derived ordering) so duplicate detection on insert is a
-/// binary search instead of a linear scan — on a high-fan-in cut vertex a
-/// single bucket can hold thousands of partial matches, and the old
-/// `bucket.contains(&m)` scan made every insert `O(n)`.
-type MatTable = FastMap<JoinKey, Vec<SubgraphMatch>>;
-
-/// Hash table of interned matches for one node: buckets hold arena row ids,
-/// sorted by the rows' full-slot lexicographic order (which coincides with
-/// the materialized ordering inside a bucket — see [`RowArena::cmp_rows`]).
+/// per insert does not heap-allocate. Buckets hold arena row ids, kept
+/// **sorted** by the rows' full-slot lexicographic order
+/// ([`RowArena::cmp_rows`]) so duplicate detection on insert is a binary
+/// search — on a high-fan-in cut vertex a single bucket can hold thousands
+/// of partial matches, and a linear scan would make every insert `O(n)`.
 type RowTable = FastMap<JoinKey, Vec<u32>>;
 
 /// Upper bound on recycled bucket vectors kept in a store's free list. A
@@ -63,21 +48,21 @@ type RowTable = FastMap<JoinKey, Vec<u32>>;
 /// window's worth of peak memory forever.
 const SPARE_BUCKETS_CAP: usize = 1024;
 
-/// Slot value marking an unbound query edge/vertex in an interned row. Data
+/// Slot value marking an unbound query edge/vertex in a row. Data
 /// ids are dense indices assigned by the graph, so `u64::MAX` can never be a
 /// real binding (debug-asserted on encode).
 const UNBOUND: u64 = u64::MAX;
 
 /// Moves an emptied bucket into the free list, dropping it instead when the
 /// pool is full or the bucket never grew.
-fn recycle<T>(spare: &mut Vec<Vec<T>>, mut bucket: Vec<T>) {
+fn recycle(spare: &mut Vec<Vec<u32>>, mut bucket: Vec<u32>) {
     if spare.len() < SPARE_BUCKETS_CAP && bucket.capacity() > 0 {
         bucket.clear();
         spare.push(bucket);
     }
 }
 
-/// The slab behind an interned [`MatchStore`]: every stored match is one
+/// The slab behind a [`MatchStore`]: every stored match is one
 /// fixed-width row of `stride` consecutive `u64` words in `data`.
 ///
 /// Row layout (slot schema), derived from the query's canonical numbering:
@@ -190,8 +175,7 @@ impl RowArena {
 
     /// Projects a row onto the parent's cut vertices as an interned
     /// [`JoinKey`], reading each cut vertex from its fixed slot offset.
-    /// Returns `None` when any cut vertex is unbound (mirrors
-    /// [`SubgraphMatch::project_key`]).
+    /// Returns `None` when any cut vertex is unbound.
     fn project_key(&self, row: u32, cut: &[QueryVertexId]) -> Option<JoinKey> {
         let b = self.base(row) + self.ew;
         if cut.len() <= JOIN_KEY_INLINE {
@@ -221,18 +205,15 @@ impl RowArena {
     /// exactly the same slot set (all matches at node `n` are matches of
     /// `subgraph(n)`), so unbound slots compare equal and the order reduces
     /// to data bindings in ascending query-id order followed by the time
-    /// span — exactly `SubgraphMatch`'s derived ordering restricted to a
-    /// bucket. Dedup and sorted-insert therefore behave identically in both
-    /// backings.
+    /// span — `SubgraphMatch`'s derived ordering restricted to a bucket.
     fn cmp_rows(&self, a: u32, b: u32) -> std::cmp::Ordering {
         let (ab, bb) = (self.base(a), self.base(b));
         self.data[ab..ab + self.stride].cmp(&self.data[bb..bb + self.stride])
     }
 
     /// Joins two rows if they are compatible, writing the union into a fresh
-    /// row — the interned mirror of [`SubgraphMatch::compatible_with`] +
-    /// [`SubgraphMatch::join`], plus the window filter (applied *before*
-    /// allocating, so rejected joins cost no row traffic):
+    /// row (Definition 3.1.3), plus the window filter. Every check runs
+    /// *before* a row is allocated, so rejected joins cost no row traffic:
     ///
     /// * vertex slots bound by both rows must agree;
     /// * the union binding must stay injective (no data vertex at two
@@ -299,25 +280,6 @@ impl RowArena {
     fn slice_earliest(row: &[u64], ew: usize, vw: usize) -> u64 {
         row[ew + vw]
     }
-}
-
-/// The storage backing of a [`MatchStore`]; see the module docs for the
-/// trade-off. Both variants share the `inserted` lifetime counters on the
-/// store itself, so conversion preserves every externally visible counter.
-#[derive(Debug, Clone)]
-enum Backing {
-    Materialized {
-        tables: Vec<MatTable>,
-        /// Free list of emptied bucket vectors (capacity preserved),
-        /// refilled by the purge/clear paths and drained by inserts at
-        /// previously unseen join keys.
-        spare: Vec<Vec<SubgraphMatch>>,
-    },
-    Interned {
-        arena: RowArena,
-        tables: Vec<RowTable>,
-        spare: Vec<Vec<u32>>,
-    },
 }
 
 /// The flat, allocation-free record of one recursive insert: which nodes
@@ -390,117 +352,38 @@ pub struct StoreStats {
 
 /// Runtime partial-match storage for one SJ-Tree.
 ///
-/// Bucket memory is arena-style in both backings: materialized matches small
-/// enough for the inline representation live directly in the bucket vector —
-/// dropping a match is a plain `Vec` truncation — while the interned backing
-/// stores *every* match (spilled or not) as a fixed-width arena row
-/// addressed by a copyable id. Bucket vectors emptied by window expiry are
-/// recycled through a bounded free list (`spare`) instead of being freed, so
-/// the next insert at a fresh join key reuses their capacity.
+/// Bucket memory is arena-style: every stored match (spilled or not) is a
+/// fixed-width `RowArena` row addressed by a copyable id. Bucket vectors
+/// emptied by window expiry are recycled through a bounded free list
+/// (`spare`) instead of being freed, so the next insert at a fresh join key
+/// reuses their capacity.
 #[derive(Debug, Clone)]
 pub struct MatchStore {
-    backing: Backing,
+    arena: RowArena,
+    tables: Vec<RowTable>,
+    /// Free list of emptied bucket vectors (capacity preserved), refilled by
+    /// the purge/clear paths and drained by inserts at previously unseen
+    /// join keys and by the join accumulator.
+    spare: Vec<Vec<u32>>,
     inserted: Vec<u64>,
 }
 
 impl MatchStore {
-    /// Creates an empty **materialized** store shaped for the given tree.
+    /// Creates an empty store shaped for the given tree: the row schema is
+    /// one slot per query edge and vertex of `tree.query()`.
     pub fn new(tree: &SjTree) -> Self {
-        Self {
-            backing: Backing::Materialized {
-                tables: vec![MatTable::default(); tree.num_nodes()],
-                spare: Vec::new(),
-            },
-            inserted: vec![0; tree.num_nodes()],
-        }
-    }
-
-    /// Creates an empty **interned** store shaped for the given tree: the
-    /// row schema is one slot per query edge and vertex of `tree.query()`.
-    pub fn new_interned(tree: &SjTree) -> Self {
         let q = tree.query();
         Self {
-            backing: Backing::Interned {
-                arena: RowArena::new(q.num_edges(), q.num_vertices()),
-                tables: vec![RowTable::default(); tree.num_nodes()],
-                spare: Vec::new(),
-            },
+            arena: RowArena::new(q.num_edges(), q.num_vertices()),
+            tables: vec![RowTable::default(); tree.num_nodes()],
+            spare: Vec::new(),
             inserted: vec![0; tree.num_nodes()],
-        }
-    }
-
-    /// `true` when matches are stored as interned arena rows.
-    pub fn is_interned(&self) -> bool {
-        matches!(self.backing, Backing::Interned { .. })
-    }
-
-    /// Converts the store between backings **in place**, preserving every
-    /// stored match, every join key and the per-bucket order (row order and
-    /// match order coincide inside a bucket — `RowArena::cmp_rows`), so a
-    /// live engine can switch representations mid-stream without replay.
-    /// The lifetime-inserted counters are untouched. A no-op when the store
-    /// is already in the requested backing.
-    pub fn set_interning(&mut self, tree: &SjTree, enabled: bool) {
-        if enabled == self.is_interned() {
-            return;
-        }
-        if enabled {
-            let Backing::Materialized { tables, .. } = &mut self.backing else {
-                unreachable!("checked above");
-            };
-            let q = tree.query();
-            let mut arena = RowArena::new(q.num_edges(), q.num_vertices());
-            let new_tables: Vec<RowTable> = tables
-                .iter_mut()
-                .map(|t| {
-                    t.drain()
-                        .map(|(k, bucket)| (k, bucket.iter().map(|m| arena.encode(m)).collect()))
-                        .collect()
-                })
-                .collect();
-            self.backing = Backing::Interned {
-                arena,
-                tables: new_tables,
-                spare: Vec::new(),
-            };
-        } else {
-            let Backing::Interned { arena, tables, .. } = &mut self.backing else {
-                unreachable!("checked above");
-            };
-            let new_tables: Vec<MatTable> = tables
-                .iter_mut()
-                .map(|t| {
-                    t.drain()
-                        .map(|(k, bucket)| (k, bucket.iter().map(|&r| arena.decode(r)).collect()))
-                        .collect()
-                })
-                .collect();
-            self.backing = Backing::Materialized {
-                tables: new_tables,
-                spare: Vec::new(),
-            };
         }
     }
 
     /// Number of recycled bucket vectors currently in the free list.
     pub fn spare_buckets(&self) -> usize {
-        match &self.backing {
-            Backing::Materialized { spare, .. } => spare.len(),
-            Backing::Interned { spare, .. } => spare.len(),
-        }
-    }
-
-    /// Drops the recycled-bucket free list (the `scratch reuse off`
-    /// measurement arm; steady-state operation never calls this). In the
-    /// interned backing the arena's row free list is dropped too.
-    pub fn release_spare(&mut self) {
-        match &mut self.backing {
-            Backing::Materialized { spare, .. } => *spare = Vec::new(),
-            Backing::Interned { spare, arena, .. } => {
-                *spare = Vec::new();
-                arena.free = Vec::new();
-            }
-        }
+        self.spare.len()
     }
 
     /// Inserts a match of `node`'s subgraph, performing the recursive hash
@@ -544,9 +427,8 @@ impl MatchStore {
     }
 
     /// The entry point behind both insert flavours: handles the single-node
-    /// (root) case, then dispatches to the backing-specific recursion. In
-    /// the interned backing the match is encoded into the arena exactly
-    /// once, here; every recursive step above works on row ids.
+    /// (root) case, then encodes the match into the arena exactly once;
+    /// every recursive step above works on row ids.
     fn insert_inner(
         &mut self,
         tree: &SjTree,
@@ -564,46 +446,96 @@ impl MatchStore {
             }
             return;
         }
-        match &mut self.backing {
-            Backing::Materialized { tables, spare } => insert_mat(
-                tables,
-                spare,
-                &mut self.inserted,
-                tree,
-                node,
-                m,
-                window,
-                complete,
-                trace,
-            ),
-            Backing::Interned {
-                arena,
-                tables,
-                spare,
-            } => {
-                let row = arena.encode(&m);
-                insert_rows(
-                    arena,
-                    tables,
-                    spare,
-                    &mut self.inserted,
-                    tree,
-                    node,
-                    row,
-                    window,
-                    complete,
-                    trace,
-                );
+        let row = self.arena.encode(&m);
+        self.insert_row(tree, node, row, window, complete, trace);
+    }
+
+    /// The recursive update (lines 4-12 of Algorithm 2): every probe, key
+    /// projection, dedup comparison and join works on fixed-width arena
+    /// rows. A joined row that reaches the root is decoded into `complete`
+    /// and its row freed — the copy-on-emit boundary; everything below the
+    /// root moves **zero** match bytes through the allocator, spilled or
+    /// not. The trace is optional so the untraced path (single-edge
+    /// strategies and the shared join stage's per-edge feed) never records
+    /// one.
+    fn insert_row(
+        &mut self,
+        tree: &SjTree,
+        node: NodeId,
+        row: u32,
+        window: Option<u64>,
+        complete: &mut Vec<SubgraphMatch>,
+        mut trace: Option<&mut InsertTrace>,
+    ) {
+        let parent = tree.parent(node).expect("non-root node has a parent");
+        let sibling = tree.sibling(node).expect("non-root node has a sibling");
+        let cut = &tree.node(parent).cut_vertices;
+        let Some(key) = self.arena.project_key(row, cut) else {
+            // The match does not bind all cut vertices; this cannot happen
+            // for leaf matches produced by the anchored matcher (leaves bind
+            // every vertex of their subgraph), so treat it as a no-op.
+            self.arena.release(row);
+            return;
+        };
+
+        // Deduplicate: buckets are sorted, so membership is O(log n). The
+        // failed search also yields the position that keeps the bucket
+        // sorted when the row is stored below. A miss on the key itself
+        // claims a recycled bucket vector from the free list up front.
+        let (insert_at, recycled) = match self.tables[node.0].get(&key) {
+            Some(bucket) => match bucket.binary_search_by(|&r| self.arena.cmp_rows(r, row)) {
+                Ok(_) => {
+                    // Duplicate: the row never entered a table, recycle it.
+                    self.arena.release(row);
+                    return;
+                }
+                Err(pos) => (pos, None),
+            },
+            None => (0, Some(self.spare.pop().unwrap_or_default())),
+        };
+
+        // Sibling probe (lines 4-7): failed joins (incompatible or
+        // out-of-window) are rejected before any row is allocated, so only
+        // *stored or emitted* joins ever touch the arena. The accumulator
+        // comes from the recycled-bucket free list.
+        let mut joined = self.spare.pop().unwrap_or_default();
+        if let Some(bucket) = self.tables[sibling.0].get(&key) {
+            for &other in bucket {
+                if let Some(j) = self.arena.join_rows(row, other, window) {
+                    joined.push(j);
+                }
             }
         }
+
+        // Store the new row at this node (line 12), preserving the sorted
+        // bucket invariant.
+        let bucket = match recycled {
+            Some(fresh) => self.tables[node.0].entry(key).or_insert(fresh),
+            None => self.tables[node.0]
+                .get_mut(&key)
+                .expect("bucket existed at the dedup probe above"),
+        };
+        bucket.insert(insert_at, row);
+        self.inserted[node.0] += 1;
+        if let Some(t) = trace.as_deref_mut() {
+            t.record(node, self.arena.row_vertices(row));
+        }
+
+        // Push successful joins up the tree (lines 8-11).
+        for &j in &joined {
+            if parent == tree.root() {
+                complete.push(self.arena.decode(j));
+                self.arena.release(j);
+            } else {
+                self.insert_row(tree, parent, j, window, complete, trace.as_deref_mut());
+            }
+        }
+        recycle(&mut self.spare, joined);
     }
 
     /// Number of partial matches currently stored at a node.
     pub fn live_matches(&self, node: NodeId) -> usize {
-        match &self.backing {
-            Backing::Materialized { tables, .. } => tables[node.0].values().map(Vec::len).sum(),
-            Backing::Interned { tables, .. } => tables[node.0].values().map(Vec::len).sum(),
-        }
+        self.tables[node.0].values().map(Vec::len).sum()
     }
 
     /// Total matches ever inserted at a node.
@@ -618,35 +550,14 @@ impl MatchStore {
         self.inserted.iter().sum()
     }
 
-    /// Iterates over the matches stored at a node.
-    ///
-    /// Only available on the materialized backing (the interned rows have no
-    /// `SubgraphMatch` to borrow); use
-    /// [`MatchStore::collect_matches_at`] for a backing-agnostic snapshot.
-    ///
-    /// # Panics
-    /// Panics when the store is interned.
-    pub fn matches_at(&self, node: NodeId) -> impl Iterator<Item = &SubgraphMatch> + '_ {
-        let Backing::Materialized { tables, .. } = &self.backing else {
-            panic!("matches_at requires the materialized backing");
-        };
-        tables[node.0].values().flat_map(|v| v.iter())
-    }
-
     /// Decoded copies of the matches stored at a node, in bucket-iteration
-    /// order. Works for both backings (test/diagnostic helper — it
-    /// materializes every match).
+    /// order (test/diagnostic helper — it materializes every match).
     pub fn collect_matches_at(&self, node: NodeId) -> Vec<SubgraphMatch> {
-        match &self.backing {
-            Backing::Materialized { tables, .. } => {
-                tables[node.0].values().flatten().cloned().collect()
-            }
-            Backing::Interned { arena, tables, .. } => tables[node.0]
-                .values()
-                .flatten()
-                .map(|&r| arena.decode(r))
-                .collect(),
-        }
+        self.tables[node.0]
+            .values()
+            .flatten()
+            .map(|&r| self.arena.decode(r))
+            .collect()
     }
 
     /// Single-pass maintenance: removes every stored partial match that is
@@ -660,15 +571,10 @@ impl MatchStore {
         let cutoff = window.map(|tw| latest.0.saturating_sub(tw));
         // The expiry check runs first — it is a field read, while liveness
         // probes the graph per matched edge.
-        self.retain_matches(
-            |m| cutoff.is_none_or(|c| m.earliest().0 >= c) && m.is_live(graph),
-            |row, ew, vw| {
-                cutoff.is_none_or(|c| RowArena::slice_earliest(row, ew, vw) >= c)
-                    && row[..ew]
-                        .iter()
-                        .all(|&e| e == UNBOUND || graph.contains_edge(EdgeId(e)))
-            },
-        )
+        self.retain_rows(|row, ew, vw| {
+            cutoff.is_none_or(|c| RowArena::slice_earliest(row, ew, vw) >= c)
+                && row_is_live(row, ew, graph)
+        })
     }
 
     /// Removes every stored partial match that can no longer participate in a
@@ -678,128 +584,73 @@ impl MatchStore {
     /// Returns the number of matches removed.
     pub fn purge_expired(&mut self, latest: Timestamp, window: u64) -> usize {
         let cutoff = latest.0.saturating_sub(window);
-        self.retain_matches(
-            |m| m.earliest().0 >= cutoff,
-            |row, ew, vw| RowArena::slice_earliest(row, ew, vw) >= cutoff,
-        )
+        self.retain_rows(|row, ew, vw| RowArena::slice_earliest(row, ew, vw) >= cutoff)
     }
 
     /// Removes every stored partial match that references an edge that has
     /// been expired out of the data graph. Returns the number removed.
     pub fn purge_dead(&mut self, graph: &DynamicGraph) -> usize {
-        self.retain_matches(
-            |m| m.is_live(graph),
-            |row, ew, _vw| {
-                row[..ew]
-                    .iter()
-                    .all(|&e| e == UNBOUND || graph.contains_edge(EdgeId(e)))
-            },
-        )
+        self.retain_rows(|row, ew, _vw| row_is_live(row, ew, graph))
     }
 
-    /// One walk over every bucket keeping only matches that satisfy the
-    /// backing-appropriate predicate (`keep_m` sees a materialized match,
-    /// `keep_row` a raw row slice plus the edge/vertex widths); the single
+    /// One walk over every bucket keeping only the rows whose raw slice
+    /// satisfies `keep` (which also sees the edge/vertex widths); the single
     /// implementation behind every purge flavour. `retain` preserves
-    /// relative order, so the sorted-bucket invariant survives. Removed
-    /// interned rows go back to the arena free list. Returns the number of
-    /// matches removed.
-    fn retain_matches(
-        &mut self,
-        keep_m: impl Fn(&SubgraphMatch) -> bool,
-        keep_row: impl Fn(&[u64], usize, usize) -> bool,
-    ) -> usize {
+    /// relative order, so the sorted-bucket invariant survives. Removed rows
+    /// go back to the arena free list, and emptied buckets leave the table
+    /// while their capacity goes to the bucket free list — window expiry
+    /// returns memory to the store, not the allocator. Returns the number
+    /// of matches removed.
+    fn retain_rows(&mut self, keep: impl Fn(&[u64], usize, usize) -> bool) -> usize {
+        // Split the arena so the predicate can read `data` while removed
+        // rows push onto `free`.
+        let RowArena {
+            ew,
+            vw,
+            stride,
+            data,
+            free,
+        } = &mut self.arena;
+        let (ew, vw, stride) = (*ew, *vw, *stride);
+        let spare = &mut self.spare;
         let mut removed = 0;
-        match &mut self.backing {
-            Backing::Materialized { tables, spare } => {
-                for table in tables {
-                    for bucket in table.values_mut() {
-                        let before = bucket.len();
-                        bucket.retain(&keep_m);
-                        removed += before - bucket.len();
+        for table in &mut self.tables {
+            for bucket in table.values_mut() {
+                let before = bucket.len();
+                bucket.retain(|&r| {
+                    let b = r as usize * stride;
+                    if keep(&data[b..b + stride], ew, vw) {
+                        true
+                    } else {
+                        free.push(r);
+                        false
                     }
-                    // Emptied buckets leave the table but their capacity
-                    // goes to the free list — window expiry returns memory
-                    // to the store, not the allocator.
-                    table.retain(|_, bucket| {
-                        if bucket.is_empty() {
-                            recycle(spare, std::mem::take(bucket));
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                }
+                });
+                removed += before - bucket.len();
             }
-            Backing::Interned {
-                arena,
-                tables,
-                spare,
-            } => {
-                // Split the arena so the predicate can read `data` while
-                // removed rows push onto `free`.
-                let RowArena {
-                    ew,
-                    vw,
-                    stride,
-                    data,
-                    free,
-                } = arena;
-                let (ew, vw, stride) = (*ew, *vw, *stride);
-                for table in tables {
-                    for bucket in table.values_mut() {
-                        let before = bucket.len();
-                        bucket.retain(|&r| {
-                            let b = r as usize * stride;
-                            if keep_row(&data[b..b + stride], ew, vw) {
-                                true
-                            } else {
-                                free.push(r);
-                                false
-                            }
-                        });
-                        removed += before - bucket.len();
-                    }
-                    table.retain(|_, bucket| {
-                        if bucket.is_empty() {
-                            recycle(spare, std::mem::take(bucket));
-                            false
-                        } else {
-                            true
-                        }
-                    });
+            table.retain(|_, bucket| {
+                if bucket.is_empty() {
+                    recycle(spare, std::mem::take(bucket));
+                    false
+                } else {
+                    true
                 }
-            }
+            });
         }
         removed
     }
 
-    /// Clears every table, recycling every bucket vector (and, interned,
-    /// resetting the whole arena — no live rows remain, so the slab restarts
-    /// empty with its capacity preserved).
+    /// Clears every table, recycling every bucket vector and resetting the
+    /// whole arena — no live rows remain, so the slab restarts empty with
+    /// its capacity preserved.
     pub fn clear(&mut self) {
-        match &mut self.backing {
-            Backing::Materialized { tables, spare } => {
-                for table in tables {
-                    for (_, bucket) in table.drain() {
-                        recycle(spare, bucket);
-                    }
-                }
-            }
-            Backing::Interned {
-                arena,
-                tables,
-                spare,
-            } => {
-                for table in tables {
-                    for (_, bucket) in table.drain() {
-                        recycle(spare, bucket);
-                    }
-                }
-                arena.data.clear();
-                arena.free.clear();
+        for table in &mut self.tables {
+            for (_, bucket) in table.drain() {
+                recycle(&mut self.spare, bucket);
             }
         }
+        self.arena.data.clear();
+        self.arena.free.clear();
     }
 
     /// Clears the table of one node, leaving its lifetime-inserted counter
@@ -809,24 +660,11 @@ impl MatchStore {
     /// table is repopulated by replaying the retained graph) and would
     /// otherwise linger until window expiry.
     pub fn clear_node(&mut self, node: NodeId) {
-        match &mut self.backing {
-            Backing::Materialized { tables, spare } => {
-                for (_, bucket) in tables[node.0].drain() {
-                    recycle(spare, bucket);
-                }
+        for (_, bucket) in self.tables[node.0].drain() {
+            for &r in &bucket {
+                self.arena.release(r);
             }
-            Backing::Interned {
-                arena,
-                tables,
-                spare,
-            } => {
-                for (_, bucket) in tables[node.0].drain() {
-                    for &r in &bucket {
-                        arena.release(r);
-                    }
-                    recycle(spare, bucket);
-                }
-            }
+            recycle(&mut self.spare, bucket);
         }
     }
 
@@ -843,179 +681,11 @@ impl MatchStore {
     }
 }
 
-/// The recursive update over the materialized backing. The trace is
-/// optional so the untraced path (single-edge strategies and the shared
-/// join stage's per-edge feed, i.e. the steady-state hot path) never
-/// materialises a trace. Join results are accumulated into a vector drawn
-/// from the bucket free list and recycled afterwards, so a warm store
-/// performs the whole recursive update without touching the allocator (for
-/// inline-width matches).
-#[allow(clippy::too_many_arguments)]
-fn insert_mat(
-    tables: &mut [MatTable],
-    spare: &mut Vec<Vec<SubgraphMatch>>,
-    inserted: &mut [u64],
-    tree: &SjTree,
-    node: NodeId,
-    m: SubgraphMatch,
-    window: Option<u64>,
-    complete: &mut Vec<SubgraphMatch>,
-    mut trace: Option<&mut InsertTrace>,
-) {
-    let parent = tree.parent(node).expect("non-root node has a parent");
-    let sibling = tree.sibling(node).expect("non-root node has a sibling");
-    let cut = &tree.node(parent).cut_vertices;
-    let Some(key) = m.project_key(cut) else {
-        // The match does not bind all cut vertices; this cannot happen
-        // for leaf matches produced by the anchored matcher (leaves bind
-        // every vertex of their subgraph), so treat it as a no-op.
-        return;
-    };
-
-    // Deduplicate: buckets are sorted, so membership is O(log n). The
-    // failed search also yields the position that keeps the bucket
-    // sorted when the match is stored below. A miss on the key itself
-    // claims a recycled bucket vector from the free list up front.
-    let (insert_at, recycled) = match tables[node.0].get(&key) {
-        Some(bucket) => match bucket.binary_search(&m) {
-            Ok(_) => return,
-            Err(pos) => (pos, None),
-        },
-        None => (0, Some(spare.pop().unwrap_or_default())),
-    };
-
-    // Probe the sibling's table with the same key and join (lines 4-7 of
-    // Algorithm 2). The accumulator comes from the recycled-bucket free
-    // list: a freshly collected vector here would put one heap
-    // allocation on every joining insert.
-    let mut joined = spare.pop().unwrap_or_default();
-    if let Some(bucket) = tables[sibling.0].get(&key) {
-        joined.extend(
-            bucket
-                .iter()
-                .filter_map(|ms| m.join(ms))
-                .filter(|j| window.is_none_or(|tw| j.within_window(tw))),
-        );
-    }
-
-    // Store the new match at this node (line 12), preserving the sorted
-    // bucket invariant.
-    let bucket = match recycled {
-        Some(fresh) => tables[node.0].entry(key).or_insert(fresh),
-        None => tables[node.0]
-            .get_mut(&key)
-            .expect("bucket existed at the dedup probe above"),
-    };
-    inserted[node.0] += 1;
-    if let Some(t) = trace.as_deref_mut() {
-        t.record(node, m.vertex_pairs().map(|(_, dv)| dv));
-    }
-    bucket.insert(insert_at, m);
-
-    // Push successful joins up the tree (lines 8-11).
-    for msup in joined.drain(..) {
-        if parent == tree.root() {
-            complete.push(msup);
-        } else {
-            insert_mat(
-                tables,
-                spare,
-                inserted,
-                tree,
-                parent,
-                msup,
-                window,
-                complete,
-                trace.as_deref_mut(),
-            );
-        }
-    }
-    recycle(spare, joined);
-}
-
-/// The recursive update over the interned backing: identical control flow
-/// to [`insert_mat`], but every probe, key projection, dedup comparison and
-/// join works on fixed-width arena rows addressed by copyable ids. A joined
-/// row that reaches the root is decoded into `complete` and its row freed —
-/// the copy-on-emit boundary; everything below the root moves **zero**
-/// match bytes through the allocator, spilled or not.
-#[allow(clippy::too_many_arguments)]
-fn insert_rows(
-    arena: &mut RowArena,
-    tables: &mut [RowTable],
-    spare: &mut Vec<Vec<u32>>,
-    inserted: &mut [u64],
-    tree: &SjTree,
-    node: NodeId,
-    row: u32,
-    window: Option<u64>,
-    complete: &mut Vec<SubgraphMatch>,
-    mut trace: Option<&mut InsertTrace>,
-) {
-    let parent = tree.parent(node).expect("non-root node has a parent");
-    let sibling = tree.sibling(node).expect("non-root node has a sibling");
-    let cut = &tree.node(parent).cut_vertices;
-    let Some(key) = arena.project_key(row, cut) else {
-        arena.release(row);
-        return;
-    };
-
-    let (insert_at, recycled) = match tables[node.0].get(&key) {
-        Some(bucket) => match bucket.binary_search_by(|&r| arena.cmp_rows(r, row)) {
-            Ok(_) => {
-                // Duplicate: the row never entered a table, recycle it.
-                arena.release(row);
-                return;
-            }
-            Err(pos) => (pos, None),
-        },
-        None => (0, Some(spare.pop().unwrap_or_default())),
-    };
-
-    // Sibling probe: failed joins (incompatible or out-of-window) are
-    // rejected before any row is allocated, so only *stored or emitted*
-    // joins ever touch the arena.
-    let mut joined = spare.pop().unwrap_or_default();
-    if let Some(bucket) = tables[sibling.0].get(&key) {
-        for &other in bucket {
-            if let Some(j) = arena.join_rows(row, other, window) {
-                joined.push(j);
-            }
-        }
-    }
-
-    let bucket = match recycled {
-        Some(fresh) => tables[node.0].entry(key).or_insert(fresh),
-        None => tables[node.0]
-            .get_mut(&key)
-            .expect("bucket existed at the dedup probe above"),
-    };
-    inserted[node.0] += 1;
-    if let Some(t) = trace.as_deref_mut() {
-        t.record(node, arena.row_vertices(row));
-    }
-    bucket.insert(insert_at, row);
-
-    for j in joined.drain(..) {
-        if parent == tree.root() {
-            complete.push(arena.decode(j));
-            arena.release(j);
-        } else {
-            insert_rows(
-                arena,
-                tables,
-                spare,
-                inserted,
-                tree,
-                parent,
-                j,
-                window,
-                complete,
-                trace.as_deref_mut(),
-            );
-        }
-    }
-    recycle(spare, joined);
+/// `true` when every edge bound in a raw row is still in the data graph.
+fn row_is_live(row: &[u64], ew: usize, graph: &DynamicGraph) -> bool {
+    row[..ew]
+        .iter()
+        .all(|&e| e == UNBOUND || graph.contains_edge(EdgeId(e)))
 }
 
 #[cfg(test)]
@@ -1408,10 +1078,6 @@ mod tests {
         }
         assert_eq!(store.live_matches(tree.leaf(1)), FAN as usize);
         assert_eq!(store.total_inserted(tree.leaf(1)), FAN);
-        // Micro-assert for the join-stage allocation satellite: every stored
-        // partial match of this workload-sized query fits the inline binding
-        // maps, so the per-insert move above never heap-allocated.
-        assert!(store.matches_at(tree.leaf(1)).all(|m| m.bindings_inline()));
         // Joining against the fan still produces every combination once.
         store.insert(
             &tree,
@@ -1457,11 +1123,9 @@ mod tests {
         }
         assert_eq!(store.spare_buckets(), 5);
         assert_eq!(store.stats().total_live_matches, 3);
-        // `clear` recycles too; `release_spare` drops the pool.
+        // `clear` recycles too.
         store.clear();
         assert_eq!(store.spare_buckets(), 8);
-        store.release_spare();
-        assert_eq!(store.spare_buckets(), 0);
     }
 
     #[test]
@@ -1484,49 +1148,22 @@ mod tests {
         assert_eq!(store.stats().total_live_matches, 0);
         // The inserted counters survive a clear (they are lifetime totals).
         assert_eq!(store.total_inserted(tree.leaf(0)), 1);
-        assert_eq!(store.matches_at(tree.leaf(0)).count(), 0);
+        assert!(store.collect_matches_at(tree.leaf(0)).is_empty());
     }
 
-    // ---- interned backing ------------------------------------------------
-
-    /// Sorted multiset view of a match list for order-insensitive equality.
-    fn multiset(mut ms: Vec<SubgraphMatch>) -> Vec<SubgraphMatch> {
-        ms.sort();
-        ms
-    }
-
-    /// Drives the same insert sequence through a materialized and an
-    /// interned store, asserting identical complete-match multisets, live
-    /// counts and inserted counters at every step.
-    fn assert_equivalent(tree: &SjTree, window: Option<u64>, inserts: &[(usize, SubgraphMatch)]) {
-        let mut mat = MatchStore::new(tree);
-        let mut int = MatchStore::new_interned(tree);
-        let mut mat_complete = Vec::new();
-        let mut int_complete = Vec::new();
-        for (rank, m) in inserts {
-            let node = tree.leaf(*rank);
-            mat.insert(tree, node, m.clone(), window, &mut mat_complete);
-            int.insert(tree, node, m.clone(), window, &mut int_complete);
-        }
-        assert_eq!(
-            multiset(mat_complete),
-            multiset(int_complete),
-            "complete-match multisets diverged"
-        );
-        for n in 0..tree.num_nodes() {
-            let node = NodeId(n);
-            assert_eq!(mat.live_matches(node), int.live_matches(node));
-            assert_eq!(mat.total_inserted(node), int.total_inserted(node));
-            assert_eq!(
-                multiset(mat.collect_matches_at(node)),
-                multiset(int.collect_matches_at(node)),
-                "stored matches diverged at node {n}"
-            );
-        }
+    /// The data edges bound by each match, one `[qe0, qe1, ..]` list per
+    /// match, sorted — an order-insensitive view of a result set.
+    fn edge_lists(ms: &[SubgraphMatch]) -> Vec<Vec<u64>> {
+        let mut out: Vec<Vec<u64>> = ms
+            .iter()
+            .map(|m| m.edge_pairs().map(|(_, de)| de.0).collect())
+            .collect();
+        out.sort();
+        out
     }
 
     #[test]
-    fn interned_store_matches_materialized_on_joins_and_duplicates() {
+    fn joins_and_duplicates_produce_hand_computed_results() {
         let tree = two_leaf_tree();
         let mut inserts = Vec::new();
         // Fan-in, duplicates, a non-joining key and both arrival orders.
@@ -1538,35 +1175,63 @@ mod tests {
         inserts.push((0, leaf0_match(10, 11, 5, 1))); // duplicate
         inserts.push((0, leaf0_match(40, 41, 6, 1))); // never joins
         inserts.push((1, leaf1_match(11, 200, 2_000, 3))); // late sibling
-        assert_equivalent(&tree, None, &inserts);
-        assert_equivalent(&tree, Some(10), &inserts);
+
+        // Unwindowed: edge 5 joins all 20 fan-in edges and the late
+        // sibling. With tW = 10 the fan-in join spans (2 + i) - 1 < 10, so
+        // only i = 0..=8 survive, plus the late sibling (span 2).
+        let unwindowed: Vec<u64> = (1_000..1_020).chain([2_000]).collect();
+        let windowed: Vec<u64> = (1_000..1_009).chain([2_000]).collect();
+        for (window, partners) in [(None, unwindowed), (Some(10), windowed)] {
+            let mut store = MatchStore::new(&tree);
+            let mut complete = Vec::new();
+            for (rank, m) in &inserts {
+                store.insert(&tree, tree.leaf(*rank), m.clone(), window, &mut complete);
+            }
+            let expected: Vec<Vec<u64>> = partners.iter().map(|&e| vec![5, e]).collect();
+            assert_eq!(edge_lists(&complete), expected, "window {window:?}");
+            assert!(complete
+                .iter()
+                .all(|m| m.data_vertex(QueryVertexId(1)) == Some(VertexId(11))));
+            // Duplicates are neither stored nor counted; the window only
+            // filters joins, never leaf inserts; the root stores nothing.
+            for (node, live, inserted) in [
+                (tree.leaf(0), 2, 2),
+                (tree.leaf(1), 21, 21),
+                (tree.root(), 0, 0),
+            ] {
+                assert_eq!(store.live_matches(node), live, "window {window:?}");
+                assert_eq!(store.total_inserted(node), inserted, "window {window:?}");
+            }
+        }
     }
 
     #[test]
     fn interned_store_handles_single_node_trees() {
+        // One leaf covering the whole 2-edge query: the leaf match is the
+        // complete match, and the window applies to it at the root.
         let mut q = QueryGraph::new("one");
-        let a = q.add_any_vertex();
-        let b = q.add_any_vertex();
-        q.add_edge(a, b, EdgeType(0));
+        let v: Vec<_> = (0..3).map(|_| q.add_any_vertex()).collect();
+        q.add_edge(v[0], v[1], EdgeType(0));
+        q.add_edge(v[1], v[2], EdgeType(1));
         let tree =
             SjTree::from_leaves(q.clone(), vec![QuerySubgraph::from_edges(&q, q.edge_ids())]);
-        let mut store = MatchStore::new_interned(&tree);
+        let mut m = leaf0_match(1, 2, 3, 0);
+        assert!(m.bind_vertex(QueryVertexId(2), VertexId(4)));
+        assert!(m.bind_edge(QueryEdgeId(1), EdgeId(5), Timestamp(5)));
+        let mut store = MatchStore::new(&tree);
         let mut complete = Vec::new();
-        store.insert(
-            &tree,
-            tree.root(),
-            leaf0_match(1, 2, 3, 0),
-            None,
-            &mut complete,
-        );
-        assert_eq!(complete.len(), 1);
+        // Span 5: rejected at tW = 5, reported at tW = 6 and unwindowed.
+        for (window, reported) in [(Some(5), 0), (Some(6), 1), (None, 2)] {
+            store.insert(&tree, tree.root(), m.clone(), window, &mut complete);
+            assert_eq!(complete.len(), reported, "window {window:?}");
+        }
         assert_eq!(store.stats().total_live_matches, 0);
     }
 
     #[test]
     fn interned_purge_recycles_rows_and_buckets() {
         let tree = two_leaf_tree();
-        let mut store = MatchStore::new_interned(&tree);
+        let mut store = MatchStore::new(&tree);
         let mut complete = Vec::new();
         for i in 0..8u64 {
             store.insert(
@@ -1583,10 +1248,7 @@ mod tests {
         assert_eq!(store.spare_buckets(), 8);
         // Freed rows are reused: eight more inserts and the arena has not
         // grown past its 8-row high-water mark.
-        let Backing::Interned { arena, .. } = &store.backing else {
-            panic!("interned store");
-        };
-        let words_before = arena.data.len();
+        let words_before = store.arena.data.len();
         for i in 0..8u64 {
             store.insert(
                 &tree,
@@ -1596,107 +1258,64 @@ mod tests {
                 &mut complete,
             );
         }
-        let Backing::Interned { arena, .. } = &store.backing else {
-            panic!("interned store");
-        };
-        assert_eq!(arena.data.len(), words_before);
+        assert_eq!(store.arena.data.len(), words_before);
         assert_eq!(store.stats().total_live_matches, 8);
     }
 
     #[test]
     fn interned_purge_dead_probes_the_graph() {
+        // A joined row dies with *any* of its edges: leaf 0's edge expires,
+        // leaf 1's stays, and the internal node's join of the two goes.
         use sp_graph::Schema;
         let mut schema = Schema::new();
         let vt = schema.intern_vertex_type("v");
         let t0 = schema.intern_edge_type("t0");
+        let t1 = schema.intern_edge_type("t1");
         let mut g = DynamicGraph::with_window(schema, 10);
-        let a = g.add_vertex(vt);
-        let b = g.add_vertex(vt);
+        let (a, b, c) = (g.add_vertex(vt), g.add_vertex(vt), g.add_vertex(vt));
         let e_old = g.add_edge(a, b, t0, Timestamp(1));
-        let tree = two_leaf_tree();
-        let mut store = MatchStore::new_interned(&tree);
-        let mut complete = Vec::new();
-        let mut m = SubgraphMatch::new();
-        m.bind_vertex(QueryVertexId(0), a);
-        m.bind_vertex(QueryVertexId(1), b);
-        m.bind_edge(QueryEdgeId(0), e_old, Timestamp(1));
-        store.insert(&tree, tree.leaf(0), m, None, &mut complete);
-        assert_eq!(store.purge_dead(&g), 0);
-        g.add_edge(a, b, t0, Timestamp(1000));
-        g.expire();
-        assert_eq!(store.purge_dead(&g), 1);
-        assert_eq!(store.stats().total_live_matches, 0);
-    }
+        let e_live = g.add_edge(b, c, t1, Timestamp(1_000));
 
-    #[test]
-    fn set_interning_round_trips_live_state() {
-        let tree = two_leaf_tree();
+        let mut q = QueryGraph::new("p3");
+        let v: Vec<_> = (0..4).map(|_| q.add_any_vertex()).collect();
+        for i in 0..3 {
+            q.add_edge(v[i], v[i + 1], EdgeType(i as u32));
+        }
+        let leaves = (0..3)
+            .map(|i| QuerySubgraph::from_edges(&q, [QueryEdgeId(i)]))
+            .collect();
+        let tree = SjTree::from_leaves(q, leaves);
+        let internal = tree.parent(tree.leaf(0)).unwrap();
         let mut store = MatchStore::new(&tree);
         let mut complete = Vec::new();
-        for i in 0..6u64 {
-            store.insert(
-                &tree,
-                tree.leaf(1),
-                leaf1_match(11, 100 + i, 1_000 + i, 2),
-                None,
-                &mut complete,
-            );
-        }
         store.insert(
             &tree,
             tree.leaf(0),
-            leaf0_match(10, 11, 5, 1),
+            leaf0_match(a.0, b.0, e_old.0, 1),
             None,
             &mut complete,
         );
-        assert_eq!(complete.len(), 6);
-        let before: Vec<Vec<SubgraphMatch>> = (0..tree.num_nodes())
-            .map(|n| multiset(store.collect_matches_at(NodeId(n))))
-            .collect();
-        let inserted_before = store.lifetime_inserted();
-
-        // Materialized -> interned: state survives and joining continues.
-        store.set_interning(&tree, true);
-        assert!(store.is_interned());
-        assert_eq!(store.lifetime_inserted(), inserted_before);
-        for (n, expected) in before.iter().enumerate() {
-            assert_eq!(&multiset(store.collect_matches_at(NodeId(n))), expected);
-        }
-        let mut complete2 = Vec::new();
         store.insert(
             &tree,
             tree.leaf(1),
-            leaf1_match(11, 200, 9_000, 2),
+            leaf1_match(b.0, c.0, e_live.0, 1_000),
             None,
-            &mut complete2,
+            &mut complete,
         );
-        assert_eq!(complete2.len(), 1, "joins keep working after conversion");
-        // Duplicates are still rejected against the converted buckets.
-        store.insert(
-            &tree,
-            tree.leaf(1),
-            leaf1_match(11, 200, 9_000, 2),
-            None,
-            &mut complete2,
-        );
-        assert_eq!(complete2.len(), 1);
-
-        // Interned -> materialized: round-trip restores everything.
-        store.set_interning(&tree, false);
-        assert!(!store.is_interned());
-        assert_eq!(
-            store.live_matches(tree.leaf(1)),
-            7,
-            "6 originals + 1 post-conversion insert"
-        );
-        assert!(store.matches_at(tree.leaf(1)).all(|m| m.bindings_inline()));
+        assert_eq!(store.live_matches(internal), 1);
+        assert_eq!(store.purge_dead(&g), 0);
+        g.expire(); // t=1 is outside the 10-tick graph window
+        assert_eq!(store.purge_dead(&g), 2);
+        assert_eq!(store.live_matches(tree.leaf(0)), 0);
+        assert_eq!(store.live_matches(internal), 0);
+        assert_eq!(store.live_matches(tree.leaf(1)), 1);
     }
 
     #[test]
     fn interned_rows_handle_spilled_width_queries() {
         // A 9-edge path: 10 vertex bindings — past MATCH_INLINE_BINDINGS, so
-        // the materialized representation heap-allocates per clone while the
-        // interned rows stay fixed-width. Semantics must be identical.
+        // a `SubgraphMatch` of this width heap-allocates per clone while the
+        // rows stay fixed-width.
         const LEN: usize = 9;
         let mut q = QueryGraph::new("wide");
         let v: Vec<_> = (0..=LEN).map(|_| q.add_any_vertex()).collect();
@@ -1708,10 +1327,10 @@ mod tests {
             .collect();
         let tree = SjTree::from_leaves(q, leaves);
 
-        let edge_match = |i: usize, base: u64| {
+        let edge_match = |i: usize| {
             let mut m = SubgraphMatch::new();
-            m.bind_vertex(QueryVertexId(i), VertexId(base + i as u64));
-            m.bind_vertex(QueryVertexId(i + 1), VertexId(base + i as u64 + 1));
+            m.bind_vertex(QueryVertexId(i), VertexId(500 + i as u64));
+            m.bind_vertex(QueryVertexId(i + 1), VertexId(500 + i as u64 + 1));
             m.bind_edge(
                 QueryEdgeId(i),
                 EdgeId(1_000 + i as u64),
@@ -1719,60 +1338,114 @@ mod tests {
             );
             m
         };
-        let inserts: Vec<(usize, SubgraphMatch)> =
-            (0..LEN).map(|i| (i, edge_match(i, 500))).collect();
-        assert_equivalent(&tree, None, &inserts);
-
-        // And explicitly: the interned store emits the full 10-vertex match.
-        let mut store = MatchStore::new_interned(&tree);
+        let mut store = MatchStore::new(&tree);
         let mut complete = Vec::new();
-        for (rank, m) in &inserts {
-            store.insert(&tree, tree.leaf(*rank), m.clone(), None, &mut complete);
+        for i in 0..LEN {
+            store.insert(&tree, tree.leaf(i), edge_match(i), None, &mut complete);
         }
+        // The chain completes exactly once, as the full 10-vertex match.
         assert_eq!(complete.len(), 1);
-        assert_eq!(complete[0].num_vertices(), LEN + 1);
-        assert_eq!(complete[0].num_edges(), LEN);
-        assert!(!complete[0].bindings_inline(), "this width must spill");
+        let m = &complete[0];
+        assert!(!m.bindings_inline(), "this width must spill");
+        assert_eq!(
+            m.edge_pairs().collect::<Vec<_>>(),
+            (0..LEN)
+                .map(|i| (QueryEdgeId(i), EdgeId(1_000 + i as u64)))
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(
+            m.vertex_pairs().collect::<Vec<_>>(),
+            (0..=LEN)
+                .map(|i| (QueryVertexId(i), VertexId(500 + i as u64)))
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(m.time_span(), (Timestamp(0), Timestamp(LEN as u64 - 1)));
+        // Every leaf stored its match; each internal node of the left-deep
+        // tree stored the one growing prefix below the root.
+        assert_eq!(store.stats().total_live_matches, LEN + (LEN - 2));
     }
 
     #[test]
     fn insert_trace_records_nodes_and_vertices() {
         let tree = two_leaf_tree();
-        for interned in [false, true] {
-            let mut store = if interned {
-                MatchStore::new_interned(&tree)
-            } else {
-                MatchStore::new(&tree)
-            };
-            let mut complete = Vec::new();
-            let mut trace = InsertTrace::new();
-            store.insert_traced(
-                &tree,
-                tree.leaf(0),
-                leaf0_match(10, 11, 100, 1),
-                None,
-                &mut complete,
-                &mut trace,
-            );
-            assert_eq!(trace.len(), 1);
-            assert_eq!(trace.node(0), tree.leaf(0));
-            assert_eq!(trace.vertices(0), &[VertexId(10), VertexId(11)]);
-            trace.clear();
-            assert!(trace.is_empty());
-            // The joining insert stores at the leaf; the root join is
-            // emitted, not stored, so it is not traced.
-            store.insert_traced(
-                &tree,
-                tree.leaf(1),
-                leaf1_match(11, 12, 101, 2),
-                None,
-                &mut complete,
-                &mut trace,
-            );
-            assert_eq!(trace.len(), 1);
-            assert_eq!(trace.node(0), tree.leaf(1));
-            assert_eq!(trace.vertices(0), &[VertexId(11), VertexId(12)]);
-            assert_eq!(complete.len(), 1);
-        }
+        let mut store = MatchStore::new(&tree);
+        let mut complete = Vec::new();
+        let mut trace = InsertTrace::new();
+        store.insert_traced(
+            &tree,
+            tree.leaf(0),
+            leaf0_match(10, 11, 100, 1),
+            None,
+            &mut complete,
+            &mut trace,
+        );
+        assert_eq!(trace.len(), 1);
+        assert_eq!(trace.node(0), tree.leaf(0));
+        assert_eq!(trace.vertices(0), &[VertexId(10), VertexId(11)]);
+        trace.clear();
+        assert!(trace.is_empty());
+        // The joining insert stores at the leaf; the root join is emitted,
+        // not stored, so it is not traced.
+        store.insert_traced(
+            &tree,
+            tree.leaf(1),
+            leaf1_match(11, 12, 101, 2),
+            None,
+            &mut complete,
+            &mut trace,
+        );
+        assert_eq!(trace.len(), 1);
+        assert_eq!(trace.node(0), tree.leaf(1));
+        assert_eq!(trace.vertices(0), &[VertexId(11), VertexId(12)]);
+        assert_eq!(complete.len(), 1);
+    }
+
+    // ---- row joins -------------------------------------------------------
+
+    /// An arena for the 3-vertex, 2-edge path `v0 -e0-> v1 -e1-> v2` holding
+    /// the two given matches as rows.
+    fn arena_with(a: &SubgraphMatch, b: &SubgraphMatch) -> (RowArena, u32, u32) {
+        let mut arena = RowArena::new(2, 3);
+        let (ra, rb) = (arena.encode(a), arena.encode(b));
+        (arena, ra, rb)
+    }
+
+    #[test]
+    fn join_of_compatible_matches_unions_bindings() {
+        let a = leaf0_match(10, 11, 1, 5);
+        let b = leaf1_match(11, 12, 2, 9);
+        let (mut arena, ra, rb) = arena_with(&a, &b);
+        let row = arena.join_rows(ra, rb, None).expect("compatible");
+        let j = arena.decode(row);
+        assert_eq!(j.num_edges(), 2);
+        assert_eq!(j.num_vertices(), 3);
+        assert_eq!(j.data_vertex(QueryVertexId(2)), Some(VertexId(12)));
+        assert_eq!(j.earliest(), Timestamp(5));
+        assert_eq!(j.latest(), Timestamp(9));
+        // The union spans 9 - 5 = 4 ticks: a window of 4 rejects it.
+        assert!(arena.join_rows(ra, rb, Some(4)).is_none());
+        assert!(arena.join_rows(ra, rb, Some(5)).is_some());
+    }
+
+    #[test]
+    fn join_rejects_conflicting_shared_vertex() {
+        let (mut arena, ra, rb) =
+            arena_with(&leaf0_match(10, 11, 1, 0), &leaf1_match(99, 12, 2, 0));
+        assert!(arena.join_rows(ra, rb, None).is_none());
+    }
+
+    #[test]
+    fn join_rejects_non_injective_union() {
+        // Different query vertices (v0, v2) bound to the same data vertex.
+        let (mut arena, ra, rb) =
+            arena_with(&leaf0_match(10, 11, 1, 0), &leaf1_match(11, 10, 2, 0));
+        assert!(arena.join_rows(ra, rb, None).is_none());
+    }
+
+    #[test]
+    fn join_rejects_data_edge_reuse() {
+        let (mut arena, ra, rb) =
+            arena_with(&leaf0_match(10, 11, 7, 0), &leaf1_match(11, 12, 7, 0));
+        assert!(arena.join_rows(ra, rb, None).is_none());
     }
 }

@@ -1,12 +1,16 @@
-//! Per-edge hot-path scratch reuse: equivalence and allocation regression.
+//! Per-edge hot path: oracle equivalence and allocation regression.
 //!
-//! The tentpole contract is that scratch reuse is *invisible*: threading
-//! warm [`sp_iso::SearchScratch`] buffers, registry-owned search caches and
-//! recycled match-store buckets through the pipeline must not change the
-//! reported `(query, match)` multiset for any strategy or worker count.
-//! The feature-gated test at the bottom pins the point of the exercise:
-//! with reuse on, the steady-state per-edge path stops allocating.
+//! The pipeline threads warm [`sp_iso::SearchScratch`] buffers,
+//! registry-owned search caches, recycled match-store buckets and interned
+//! arena rows through every edge. None of that may change the reported
+//! `(query, match)` multiset for any strategy or worker count, so each run
+//! here is checked against the VF2 oracle of `common::oracle`, which shares
+//! no code with the pipeline. The feature-gated tests at the bottom pin the
+//! point of the exercise: the steady-state per-edge path stops allocating.
 
+mod common;
+
+use common::{multiset_of, oracle};
 use sp_datasets::NetflowConfig;
 use sp_query::QueryGraph;
 use sp_runtime::{ParallelStreamProcessor, RuntimeConfig};
@@ -64,21 +68,61 @@ fn pack(schema: &Schema) -> Vec<(QueryGraph, Option<u64>)> {
     ]
 }
 
-/// Sorted `(query slot, match fingerprint)` multiset of a full run.
-fn multiset_of<F>(mut process_all: F) -> Vec<(usize, String)>
-where
-    F: FnMut(&mut dyn FnMut(usize, SubgraphMatch)),
-{
-    let mut out = Vec::new();
-    process_all(&mut |slot, m| {
-        out.push((slot, format!("{:?}", m.edge_pairs().collect::<Vec<_>>())));
-    });
-    out.sort();
-    out
+/// The oracle itself, on a stream small enough to enumerate by hand: the
+/// chain `x -a-> y -b-> z` registered twice, with `tW = 5` and unwindowed.
+#[test]
+fn oracle_reports_a_hand_computed_chain() {
+    let _serial = serial();
+    let mut schema = Schema::new();
+    let ip = schema.intern_vertex_type("ip");
+    let a = schema.intern_edge_type("a");
+    let b = schema.intern_edge_type("b");
+    let mut chain = QueryGraph::new("a-then-b");
+    let (x, y, z) = (
+        chain.add_any_vertex(),
+        chain.add_any_vertex(),
+        chain.add_any_vertex(),
+    );
+    chain.add_edge(x, y, a);
+    chain.add_edge(y, z, b);
+
+    let mut oracle = oracle::Oracle::new(schema);
+    assert_eq!(oracle.register(chain.clone(), Some(5)), 0);
+    assert_eq!(oracle.register(chain, None), 1);
+    // Edge ids are assigned in arrival order: e0..e6.
+    let stream = [
+        (1, 2, a, 1),  // e0
+        (2, 3, b, 2),  // e1: e0+e1, span 1
+        (2, 4, b, 3),  // e2: e0+e2, span 2
+        (5, 2, a, 10), // e3: e3+e1 and e3+e2 span 8 and 7
+        (3, 6, b, 20), // e4: vertex 3 has no incoming `a`
+        (2, 7, b, 12), // e5: e3+e5 span 2, e0+e5 span 11
+        (2, 2, a, 13), // e6: self-loop; x and y cannot both be vertex 2
+    ];
+    let mut got = Vec::new();
+    for (src, dst, ty, ts) in stream {
+        let ev = sp_graph::EdgeEvent::homogeneous(src, dst, ip, ty, sp_graph::Timestamp(ts));
+        oracle.ingest(&ev, |slot, m| {
+            got.push((slot, m.edge_pairs().map(|(_, e)| e.0).collect::<Vec<_>>()));
+        });
+    }
+    got.sort();
+    let expected: Vec<(usize, Vec<u64>)> = vec![
+        (0, vec![0, 1]),
+        (0, vec![0, 2]),
+        (0, vec![3, 5]),
+        (1, vec![0, 1]),
+        (1, vec![0, 2]),
+        (1, vec![0, 5]),
+        (1, vec![3, 1]),
+        (1, vec![3, 2]),
+        (1, vec![3, 5]),
+    ];
+    assert_eq!(got, expected);
 }
 
 #[test]
-fn scratch_reuse_is_semantics_preserving_across_strategies() {
+fn every_strategy_matches_the_oracle() {
     let _serial = serial();
     let dataset = NetflowConfig {
         num_hosts: 300,
@@ -89,6 +133,8 @@ fn scratch_reuse_is_semantics_preserving_across_strategies() {
     let schema = dataset.schema.clone();
     let estimator = dataset.estimator_from_prefix(dataset.len() / 4);
     let rules = pack(&schema);
+    let expected = oracle::multiset(&schema, &rules, dataset.events());
+    assert!(!expected.is_empty(), "workload found no matches");
 
     let specs: [StrategySpec; 5] = [
         Strategy::Single.into(),
@@ -98,52 +144,35 @@ fn scratch_reuse_is_semantics_preserving_across_strategies() {
         StrategySpec::Auto,
     ];
     for spec in specs {
-        let run = |scratch_reuse: bool, interning: bool| {
-            let mut proc = StreamProcessor::new(schema.clone())
-                .with_estimator(estimator.clone())
-                .with_statistics(false)
-                .with_scratch_reuse(scratch_reuse)
-                .with_match_interning(interning);
-            let ids: Vec<QueryId> = rules
-                .iter()
-                .map(|(q, w)| proc.register(q.clone(), spec, *w).unwrap())
-                .collect();
-            multiset_of(|emit| {
-                let mut sink = FnSink(|q: QueryId, m: SubgraphMatch| {
-                    emit(ids.iter().position(|&i| i == q).unwrap(), m);
-                });
-                for ev in dataset.events() {
-                    proc.process_into(ev, &mut sink);
-                }
-            })
-        };
-        let reused = run(true, true);
-        let released = run(false, true);
-        let materialized = run(true, false);
-        assert!(
-            !reused.is_empty(),
-            "workload found no matches under {spec:?}"
-        );
+        let mut proc = StreamProcessor::new(schema.clone())
+            .with_estimator(estimator.clone())
+            .with_statistics(false);
+        let ids: Vec<QueryId> = rules
+            .iter()
+            .map(|(q, w)| proc.register(q.clone(), spec, *w).unwrap())
+            .collect();
+        let shared = multiset_of(|emit| {
+            let mut sink = FnSink(|q: QueryId, m: SubgraphMatch| {
+                emit(ids.iter().position(|&i| i == q).unwrap(), m);
+            });
+            for ev in dataset.events() {
+                proc.process_into(ev, &mut sink);
+            }
+        });
         assert_eq!(
-            reused, released,
-            "scratch reuse changed the multiset under {spec:?}"
-        );
-        assert_eq!(
-            reused, materialized,
-            "interned match rows changed the multiset under {spec:?}"
+            shared, expected,
+            "shared processor diverges from the oracle under {spec:?}"
         );
 
         // Pre-sharing architecture: one independent single-query processor
-        // per rule, with every reuse and sharing stage disabled.
+        // per rule, with both sharing stages disabled.
         let independent = multiset_of(|emit| {
             for (slot, (q, w)) in rules.iter().enumerate() {
                 let mut proc = StreamProcessor::new(schema.clone())
                     .with_estimator(estimator.clone())
                     .with_statistics(false)
                     .with_sharing(false)
-                    .with_join_sharing(false)
-                    .with_scratch_reuse(false)
-                    .with_match_interning(false);
+                    .with_join_sharing(false);
                 proc.register(q.clone(), spec, *w).unwrap();
                 let mut sink = FnSink(|_q: QueryId, m: SubgraphMatch| emit(slot, m));
                 for ev in dataset.events() {
@@ -152,14 +181,14 @@ fn scratch_reuse_is_semantics_preserving_across_strategies() {
             }
         });
         assert_eq!(
-            reused, independent,
-            "warm scratch diverges from independent processors under {spec:?}"
+            independent, expected,
+            "independent processors diverge from the oracle under {spec:?}"
         );
     }
 }
 
 #[test]
-fn scratch_reuse_matches_parallel_runtime_across_worker_counts() {
+fn parallel_runtime_matches_the_oracle_across_worker_counts() {
     let _serial = serial();
     let dataset = NetflowConfig {
         num_hosts: 300,
@@ -170,28 +199,8 @@ fn scratch_reuse_matches_parallel_runtime_across_worker_counts() {
     let schema = dataset.schema.clone();
     let estimator = dataset.estimator_from_prefix(dataset.len() / 4);
     let rules = pack(&schema);
-
-    // Sequential reference with per-edge scratch release and materialized
-    // matches (the conservative configuration), against the parallel
-    // runtime's always-warm workers storing interned rows — so every worker
-    // count is also a cross-representation parity check.
-    let mut seq = StreamProcessor::new(schema.clone())
-        .with_estimator(estimator.clone())
-        .with_statistics(false)
-        .with_scratch_reuse(false)
-        .with_match_interning(false);
-    let seq_ids: Vec<QueryId> = rules
-        .iter()
-        .map(|(q, w)| seq.register(q.clone(), Strategy::SingleLazy, *w).unwrap())
-        .collect();
-    let expected = multiset_of(|emit| {
-        let mut sink = FnSink(|q: QueryId, m: SubgraphMatch| {
-            emit(seq_ids.iter().position(|&i| i == q).unwrap(), m);
-        });
-        for ev in dataset.events() {
-            seq.process_into(ev, &mut sink);
-        }
-    });
+    let expected = oracle::multiset(&schema, &rules, dataset.events());
+    assert!(!expected.is_empty(), "workload found no matches");
 
     for workers in worker_counts() {
         let mut runtime = ParallelStreamProcessor::new(
@@ -213,7 +222,7 @@ fn scratch_reuse_matches_parallel_runtime_across_worker_counts() {
             });
             runtime.process_all_into(dataset.events().iter(), &mut sink);
         });
-        assert_eq!(got, expected, "multiset diverged at {workers} workers");
+        assert_eq!(got, expected, "{workers} workers diverge from the oracle");
     }
 }
 
@@ -227,10 +236,9 @@ fn scratch_reuse_matches_parallel_runtime_across_worker_counts() {
 ///    gate — without materializing new matches or partials. After warmup
 ///    that slice must average (almost) zero allocations per edge; the
 ///    residue is amortized container growth, not per-edge churn.
-/// 2. **Reuse also wins when matches flow.** On a match-heavy netflow
-///    workload (where per-match materialization is irreducible), warm
-///    scratch must still allocate measurably less than the conservative
-///    per-edge-release configuration.
+/// 2. **Matches flow under a ceiling.** On a match-heavy netflow workload
+///    (where per-match materialization is irreducible) the warm path stays
+///    under a fixed allocs/edge ceiling.
 #[cfg(feature = "count-allocs")]
 mod alloc_regression {
     use super::*;
@@ -281,7 +289,7 @@ mod alloc_regression {
             let (base, span, t) = if region_b {
                 (100, 40, esp)
             } else {
-                (0, 40, if j % 4 == 0 { tcp } else { esp })
+                (0, 40, if j.is_multiple_of(4) { tcp } else { esp })
             };
             let src = base + j % span;
             let dst = base + (j + 1) % span;
@@ -435,10 +443,8 @@ mod alloc_regression {
     /// path from copy-on-emit materialization. The ring keeps every vertex
     /// permanently live (no REMOVE-SUBGRAPH vertex eviction/re-creation
     /// noise) and the join keys recurrent, so arena rows, buckets and
-    /// adjacency lists all recycle. With interning on, the slice must
-    /// average <0.1 allocations per stored match; the materialized
-    /// reference path, which heap-allocates each spilled binding map, must
-    /// allocate strictly more.
+    /// adjacency lists all recycle. The slice must average <0.1 allocations
+    /// per stored match.
     #[test]
     fn interned_wide_pattern_storage_is_allocation_free_per_stored_match() {
         let _serial = serial();
@@ -469,11 +475,10 @@ mod alloc_regression {
         // chain has exactly one live extension and match multiplicity stays
         // bounded.
         const HOSTS: u64 = 64;
-        let metered = |interning: bool| -> (f64, u64) {
+        let metered = || -> (f64, u64) {
             let mut proc = StreamProcessor::new(schema.clone())
                 .with_statistics(false)
-                .with_purge_interval(256)
-                .with_match_interning(interning);
+                .with_purge_interval(256);
             proc.register(wide.clone(), Strategy::Single, Some(150))
                 .unwrap();
             let mut sink = streampattern::CountSink::new();
@@ -506,30 +511,22 @@ mod alloc_regression {
             ((a1 - a0) as f64 / stored as f64, stored)
         };
 
-        let (interned, stored_on) = metered(true);
-        let (materialized, stored_off) = metered(false);
-        assert_eq!(
-            stored_on, stored_off,
-            "interning changed how many partials were stored"
-        );
-        println!(
-            "wide-pattern steady state ({stored_on} partials stored): \
-             interned {interned:.4} vs materialized {materialized:.4} allocs/stored match"
-        );
+        let (per_stored, stored) = metered();
+        println!("wide-pattern steady state ({stored} partials stored): {per_stored:.4} allocs/stored match");
         assert!(
-            interned < 0.1,
-            "interned wide-row storage allocates in steady state: \
-             {interned:.4} allocs/stored match"
-        );
-        assert!(
-            interned < materialized,
-            "interned storage must allocate strictly less than the materialized \
-             reference path ({interned:.4} >= {materialized:.4})"
+            per_stored < 0.1,
+            "wide-row storage allocates in steady state: {per_stored:.4} allocs/stored match"
         );
     }
 
+    /// Allocation ceiling of the match-heavy stream below, in allocs/edge:
+    /// the path measured 2.92, and releasing every scratch buffer after
+    /// each edge measured 17.1 on the same stream, so the ceiling catches
+    /// a lost buffer well before that.
+    const MATCH_HEAVY_ALLOCS_PER_EDGE: f64 = 4.0;
+
     #[test]
-    fn scratch_reuse_reduces_allocations_on_a_match_heavy_stream() {
+    fn match_heavy_stream_stays_under_its_allocation_ceiling() {
         let _serial = serial();
         let dataset = NetflowConfig {
             num_hosts: 300,
@@ -539,38 +536,30 @@ mod alloc_regression {
         .generate();
         let schema = dataset.schema.clone();
         let estimator = dataset.estimator_from_prefix(dataset.len() / 4);
-        let rules = pack(&schema);
-
-        let metered = |scratch_reuse: bool| -> f64 {
-            let mut proc = StreamProcessor::new(schema.clone())
-                .with_estimator(estimator.clone())
-                .with_statistics(false)
-                .with_scratch_reuse(scratch_reuse);
-            for (q, w) in &rules {
-                proc.register(q.clone(), Strategy::SingleLazy, *w).unwrap();
-            }
-            let events = dataset.events();
-            let warm = events.len() / 2;
-            let mut sink = streampattern::CountSink::new();
-            for ev in &events[..warm] {
-                proc.process_into(ev, &mut sink);
-            }
-            let (a0, _) = sp_metrics::alloc_counts();
-            for ev in &events[warm..] {
-                proc.process_into(ev, &mut sink);
-            }
-            let (a1, _) = sp_metrics::alloc_counts();
-            assert!(sink.matches > 0, "workload found no matches");
-            (a1 - a0) as f64 / (events.len() - warm) as f64
-        };
-
-        let warm_allocs = metered(true);
-        let cold_allocs = metered(false);
-        println!("allocs/edge: warm scratch {warm_allocs:.3}, per-edge release {cold_allocs:.3}");
+        let mut proc = StreamProcessor::new(schema.clone())
+            .with_estimator(estimator)
+            .with_statistics(false);
+        for (q, w) in pack(&schema) {
+            proc.register(q, Strategy::SingleLazy, w).unwrap();
+        }
+        let events = dataset.events();
+        let warm = events.len() / 2;
+        let mut sink = streampattern::CountSink::new();
+        for ev in &events[..warm] {
+            proc.process_into(ev, &mut sink);
+        }
+        let (a0, _) = sp_metrics::alloc_counts();
+        for ev in &events[warm..] {
+            proc.process_into(ev, &mut sink);
+        }
+        let (a1, _) = sp_metrics::alloc_counts();
+        assert!(sink.matches > 0, "workload found no matches");
+        let allocs_per_edge = (a1 - a0) as f64 / (events.len() - warm) as f64;
+        println!("match-heavy stream: {allocs_per_edge:.3} allocs/edge");
         assert!(
-            warm_allocs < cold_allocs * 0.9,
-            "scratch reuse no longer reduces steady-state allocator traffic: \
-             warm {warm_allocs:.3} vs released {cold_allocs:.3} allocs/edge"
+            allocs_per_edge < MATCH_HEAVY_ALLOCS_PER_EDGE,
+            "match-heavy steady state allocates {allocs_per_edge:.3} allocs/edge \
+             (ceiling {MATCH_HEAVY_ALLOCS_PER_EDGE})"
         );
     }
 }

@@ -3,13 +3,17 @@
 //! The tentpole contract is that sharing the join stage is
 //! *semantics-preserving*: for any strategy, window mix and worker count,
 //! the reported `(query, match)` multiset is identical with leaf+join
-//! sharing, with leaf-only sharing, with no sharing at all, and against
-//! independent single-query processors. The lifecycle tests cover the
-//! refcounted tables: the last unsubscriber (deregistration or a
-//! drift-driven re-subscription) drops the shared prefix table, a late
+//! sharing, with leaf-only sharing, with no sharing at all, against
+//! independent single-query processors, and against the VF2 oracle of
+//! `common::oracle`, which shares no code with the engine. The lifecycle
+//! tests cover the refcounted tables: the last unsubscriber (deregistration
+//! or a drift-driven re-subscription) drops the shared prefix table, a late
 //! subscriber to an existing prefix sees no pre-registration matches, and a
 //! re-decomposition landing mid-window keeps live partials completing.
 
+mod common;
+
+use common::{multiset_of, oracle};
 use sp_datasets::NetflowConfig;
 use sp_graph::{EdgeEvent, Timestamp};
 use sp_query::QueryGraph;
@@ -62,19 +66,6 @@ fn pack(schema: &Schema) -> Vec<(QueryGraph, Option<u64>)> {
     ]
 }
 
-/// Sorted `(query slot, match fingerprint)` multiset of a full run.
-fn multiset_of<F>(mut process_all: F) -> Vec<(usize, String)>
-where
-    F: FnMut(&mut dyn FnMut(usize, SubgraphMatch)),
-{
-    let mut out = Vec::new();
-    process_all(&mut |slot, m| {
-        out.push((slot, format!("{:?}", m.edge_pairs().collect::<Vec<_>>())));
-    });
-    out.sort();
-    out
-}
-
 #[test]
 fn shared_join_is_semantics_preserving_across_strategies_and_windows() {
     let dataset = NetflowConfig {
@@ -86,6 +77,7 @@ fn shared_join_is_semantics_preserving_across_strategies_and_windows() {
     let schema = dataset.schema.clone();
     let estimator = dataset.estimator_from_prefix(dataset.len() / 4);
     let rules = pack(&schema);
+    let expected = oracle::multiset(&schema, &rules, dataset.events());
 
     let specs: [StrategySpec; 5] = [
         Strategy::Single.into(),
@@ -134,6 +126,10 @@ fn shared_join_is_semantics_preserving_across_strategies_and_windows() {
             "sharing (any stage) changed the multiset under {spec:?}"
         );
         assert!(!full.is_empty(), "workload found no matches");
+        assert_eq!(
+            full, expected,
+            "leaf+join sharing diverges from the oracle under {spec:?}"
+        );
         assert_eq!(
             leaf_only_stats.tables, 0,
             "join sharing off must not create tables"
@@ -260,6 +256,11 @@ fn shared_join_matches_parallel_runtime_across_worker_counts() {
         }
     });
     assert!(seq.shared_join_stats().searches_saved > 0);
+    assert_eq!(
+        expected,
+        oracle::multiset(&schema, &rules, dataset.events()),
+        "sequential reference diverges from the oracle"
+    );
 
     for workers in worker_counts() {
         let mut runtime = ParallelStreamProcessor::new(

@@ -4,11 +4,15 @@
 //! any strategy, window mix and worker count, the reported `(query, match)`
 //! multiset is identical with sharing enabled, with sharing disabled, and
 //! against the pre-sharing architecture of one independent single-query
-//! processor per pattern. The lifecycle tests cover mid-stream subscription
-//! churn: a late subscriber to an existing leaf shape must not see
-//! pre-registration matches, and the last unsubscriber drops the shared
-//! entry.
+//! processor per pattern — and equal to the VF2 oracle of `common::oracle`,
+//! which shares no code with the engine. The lifecycle tests cover
+//! mid-stream subscription churn: a late subscriber to an existing leaf
+//! shape must not see pre-registration matches, and the last unsubscriber
+//! drops the shared entry.
 
+mod common;
+
+use common::{multiset_of, oracle};
 use sp_datasets::NetflowConfig;
 use sp_graph::{EdgeEvent, Timestamp};
 use sp_query::QueryGraph;
@@ -39,19 +43,6 @@ fn pack(schema: &Schema) -> Vec<(QueryGraph, Option<u64>)> {
     ]
 }
 
-/// Sorted `(query slot, match fingerprint)` multiset of a full run.
-fn multiset_of<F>(mut process_all: F) -> Vec<(usize, String)>
-where
-    F: FnMut(&mut dyn FnMut(usize, SubgraphMatch)),
-{
-    let mut out = Vec::new();
-    process_all(&mut |slot, m| {
-        out.push((slot, format!("{:?}", m.edge_pairs().collect::<Vec<_>>())));
-    });
-    out.sort();
-    out
-}
-
 #[test]
 fn sharing_is_semantics_preserving_across_strategies_and_windows() {
     let dataset = NetflowConfig {
@@ -63,6 +54,7 @@ fn sharing_is_semantics_preserving_across_strategies_and_windows() {
     let schema = dataset.schema.clone();
     let estimator = dataset.estimator_from_prefix(dataset.len() / 4);
     let rules = pack(&schema);
+    let expected = oracle::multiset(&schema, &rules, dataset.events());
 
     let specs: [StrategySpec; 5] = [
         Strategy::Single.into(),
@@ -100,6 +92,10 @@ fn sharing_is_semantics_preserving_across_strategies_and_windows() {
             "sharing on/off multisets diverge under {spec:?}"
         );
         assert!(!with_sharing.is_empty(), "workload found no matches");
+        assert_eq!(
+            with_sharing, expected,
+            "shared execution diverges from the oracle under {spec:?}"
+        );
         // The pack genuinely shares: fewer shapes than subscriptions, and the
         // run eliminated searches (counted only while sharing was on).
         assert!(before.distinct_leaves < before.total_subscriptions);
@@ -159,6 +155,11 @@ fn sharing_matches_parallel_runtime_across_worker_counts() {
         }
     });
     assert!(seq.shared_leaf_stats().searches_shared > 0);
+    assert_eq!(
+        expected,
+        oracle::multiset(&schema, &rules, dataset.events()),
+        "sequential reference diverges from the oracle"
+    );
 
     // Each worker's registry shares leaves among the queries on its shard;
     // the multiset must match the sequential run for every worker count.
